@@ -102,10 +102,8 @@ def _service(n_sessions, max_batch, **overrides):
         max_delay_ms=0.0,
         queue_limit=max(8 * max_batch, 256),
         result_limit=max(8 * max_batch, 1024),
-        # Per-step stage timers cost more than the steps at this
-        # scale and pin sessions to the per-session drain path;
-        # throughput rows measure the fused fleet path the service
-        # runs when tracing is off.
+        # Kept off so the throughput rows stay comparable with the
+        # committed BENCH_serve.json, which was measured untraced.
         per_session_telemetry=False,
         detector=DetectorConfig(**CONFIG),
     )

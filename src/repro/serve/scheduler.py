@@ -359,10 +359,12 @@ class MicroBatchScheduler:
                     scored += session.flush_finish(seqs, waits, result)
                     self._run_selection(session, block, result)
                     self.telemetry.count("batches_flushed")
-                self.telemetry.count("fused_drains")
-                self.telemetry.count(
-                    "points_fused", engine.fused_steps - fused_before
-                )
+                # A drain counts as fused only if the engine fused a row
+                # (a KSWIN group, say, drains entirely on the stock lane).
+                fused = engine.fused_steps - fused_before
+                if fused:
+                    self.telemetry.count("fused_drains")
+                    self.telemetry.count("points_fused", fused)
                 finetunes = engine.finetunes_fused - finetunes_before
                 if finetunes:
                     self.telemetry.count("finetunes_fused", finetunes)

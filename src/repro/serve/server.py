@@ -101,6 +101,9 @@ class ServeConfig:
             the drain loop).
         per_session_telemetry: attach a :class:`~repro.obs.Telemetry` to
             every session's detector (bitwise-neutral; feeds ``stats``).
+            It does not select the engine path: traced same-spec
+            sessions still drain fused, and the fleet engine records
+            their counters and stage spans for them.
         detector: hyper-parameters for detectors built from specs;
             ``create`` requests may override with a ``config`` dict.
         wal_dir: when set, every registry-built session carries a

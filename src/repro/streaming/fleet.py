@@ -33,7 +33,11 @@ per-step cost in Python/numpy dispatch overhead repeated K times.  The
   drain automatically;
 - fleets below ``min_fleet`` sessions bypass the fused machinery
   entirely: with nothing to batch over, the session-axis stacking only
-  adds overhead, so the drain routes straight to the per-session engine.
+  adds overhead, so the drain routes straight to the per-session engine;
+- traced members stay fused: the engine records each member's
+  per-session telemetry itself (``steps``, the framework stage spans,
+  fine-tune counters and events), timing each stage once per round and
+  crediting every member its share by rows (:meth:`FleetEngine._credit`).
 
 Everything is gated on bitwise equivalence: a fused drain produces
 exactly the scores, events, counters and checkpoint state that K
@@ -42,6 +46,8 @@ calls would have produced (pinned by ``tests/test_fleet.py``).
 """
 
 from __future__ import annotations
+
+from time import perf_counter
 
 import numpy as np
 
@@ -77,8 +83,10 @@ class FleetEngine:
             and drain per session (BENCH_fleet.json showed the fused
             path ~0.7x at K=1: stacking overhead with nothing to batch).
         telemetry: engine-level sink; only used for the
-            ``stage:finetune_fused`` span (member detectors must run
-            untraced to join the fused path at all).
+            ``stage:finetune_fused`` span.  Member detectors keep their
+            own telemetry: traced members fuse like untraced ones, and
+            the engine records their per-session counters and stage
+            spans (fleet-granular, credited by rows).
 
     The engine owns no session state: detectors can be stepped outside
     the fleet between drains, checkpointed, or removed at any time.  The
@@ -160,10 +168,18 @@ class FleetEngine:
             return results  # type: ignore[return-value]
 
         # Pass 2: push windows once (shared with the stock path) and
-        # preallocate each candidate's output arrays.
+        # preallocate each candidate's output arrays.  Traced members
+        # record ``steps`` and ``represent`` here, as ``step_chunk`` does.
         active: list[list] = []  # mutable [k, windows, pos] per session
         for k, block in candidates:
-            windows, n_cold = self.detectors[k].buffer.push_block(block)
+            det = self.detectors[k]
+            tel = det.telemetry
+            if tel.enabled:
+                tel.count("steps", len(block))
+                t0 = perf_counter()
+            windows, n_cold = det.buffer.push_block(block)
+            if tel.enabled:
+                tel.add_time("represent", perf_counter() - t0, calls=len(block))
             assert n_cold == 0  # guaranteed by the warm-buffer check
             n = len(windows)
             results[k] = (
@@ -182,11 +198,13 @@ class FleetEngine:
         # path.  Every session advances by at least one row per round.
         while active:
             remaining = [(k, windows[pos:]) for k, windows, pos in active]
+            t0 = perf_counter()
             fired_at = self._preview_drift(remaining)
             spans = [
                 int(fired_at[i]) + 1 if fired_at[i] >= 0 else len(w)
                 for i, (_, w) in enumerate(remaining)
             ]
+            t1 = perf_counter()
             predictions = self._fused_predictions(
                 {k: w[:span] for (k, w), span in zip(remaining, spans)}
             )
@@ -207,13 +225,16 @@ class FleetEngine:
             # Nonconformity per session, then one session-axis scorer
             # update over the whole round (sessions are independent, so
             # hoisting the scorer out of the per-session loop commutes).
+            t2 = perf_counter()
             a_outs = [
                 self._span_nonconformity(k, w[:span], predictions[k])
                 for (k, w), span in zip(remaining, spans)
             ]
+            t3 = perf_counter()
             f_outs = AnomalyLikelihood.fleet_update_batch(
                 [self.detectors[k].scorer for k, _ in remaining], a_outs
             )
+            t4 = perf_counter()
             fired: list[int] = []
             for i, ((k, w), span, entry) in enumerate(
                 zip(remaining, spans, active)
@@ -228,6 +249,19 @@ class FleetEngine:
                 self.fused_steps += span
                 if did_fire:
                     fired.append(k)
+            # The drift preview is the round's Task-2 check, the span
+            # commit its Task-1 update (training set + drift state).
+            self._credit(
+                [k for k, _ in remaining],
+                spans,
+                (
+                    ("task2-check", t1 - t0),
+                    ("predict", t2 - t1),
+                    ("nonconformity", t3 - t2),
+                    ("score", t4 - t3),
+                    ("task1-update", perf_counter() - t4),
+                ),
+            )
             if fired:
                 self._finetune_fired(fired)
             still: list[list] = []
@@ -241,7 +275,7 @@ class FleetEngine:
     # ------------------------------------------------------------------
     def _eligible(self, det: StreamingAnomalyDetector, block: np.ndarray) -> bool:
         """Can this session's block take the fused happy path at all?"""
-        if len(block) == 0 or det.telemetry.enabled:
+        if len(block) == 0:
             return False
         if not det.model.is_fitted or det.model.fleet_modules() is None:
             return False
@@ -460,6 +494,7 @@ class FleetEngine:
         if fired:
             d_res[pos + n - 1] = True
             fi_res[pos + n - 1] = True
+            det.telemetry.count("drift_fires")
 
     def _finetune_fired(self, fired: list[int]) -> None:
         """Fine-tune the round's fired sessions, fused where groupable.
@@ -484,19 +519,33 @@ class FleetEngine:
             fused = None
             if len(members) >= 2:
                 models = [self.detectors[k].model for k in members]
-                with self.telemetry.span("stage:finetune_fused"):
-                    fused = type(models[0]).fleet_finetune(
-                        models, [train_sets[k] for k in members], epochs
-                    )
+                t0 = perf_counter()
+                fused = type(models[0]).fleet_finetune(
+                    models, [train_sets[k] for k in members], epochs
+                )
+                elapsed = perf_counter() - t0
+                self.telemetry.add_time("stage:finetune_fused", elapsed)
             if fused is None:
                 for k in members:
                     self.detectors[k]._finetune(train_sets[k])
                 continue
+            # One fine-tune per member; the group shares one train-set
+            # size, so an equal split is the split by rows.
+            self._credit(members, [1] * len(members), (("fine-tune", elapsed),))
             loss_before, loss_after = fused
             for k, before, after in zip(members, loss_before, loss_after):
                 det = self.detectors[k]
                 train_set = train_sets[k]
                 det.drift_detector.notify_finetuned(det.t, train_set)
+                det.telemetry.count("finetunes")
+                det.telemetry.event(
+                    "finetune",
+                    t=det.t,
+                    reason=det.drift_detector.name,
+                    train_set_size=len(train_set),
+                    loss_before=float(before),
+                    loss_after=float(after),
+                )
                 det.events.append(
                     FineTuneEvent(
                         t=det.t,
@@ -510,6 +559,27 @@ class FleetEngine:
             self.points_fused_training += sum(
                 len(train_sets[k]) for k in members
             )
+
+    def _credit(
+        self,
+        members: list[int],
+        rows: list[int],
+        stages: tuple[tuple[str, float], ...],
+    ) -> None:
+        """Credit fleet-granular stage times to the traced members.
+
+        Each stage was timed once for the whole fleet; member ``k`` gets
+        the share proportional to the ``rows`` it contributed, recorded
+        with ``calls`` = its rows.  Only timings are attributed here;
+        counters and events are recorded exactly once per member where
+        the work happens, so no row is counted twice.
+        """
+        total = sum(rows)
+        for k, n in zip(members, rows):
+            tel = self.detectors[k].telemetry
+            if tel.enabled:
+                for name, seconds in stages:
+                    tel.add_time(name, seconds * n / total, calls=n)
 
     # ------------------------------------------------------------------
     def manifest(self) -> dict:

@@ -28,6 +28,7 @@ from repro.core.registry import AlgorithmSpec, build_detector
 from repro.datasets.corpora import make_daphnet
 from repro.models.base import BATCH_TILE, tiled_forward
 from repro.nn.arena import FleetIncompatible, ParameterArena
+from repro.obs.telemetry import CORE_SPANS, Telemetry
 from repro.streaming.checkpoint import load_detector, save_detector
 from repro.streaming.fleet import FleetEngine
 
@@ -96,12 +97,18 @@ def state_fingerprint(det) -> bytes:
 
 
 def _drain_both(
-    spec, k_sessions, chunk, values_by_k, n_steps, shift=None, min_fleet=1
+    spec, k_sessions, chunk, values_by_k, n_steps, shift=None, min_fleet=1,
+    traced=False,
 ):
     """Run fused vs per-session over identical streams; return both fleets.
 
     ``min_fleet=1`` keeps K=1 shapes on the true fused path (the engine
     defaults to bypassing below 2 sessions — pinned separately).
+
+    ``traced=True`` attaches a :class:`Telemetry` to every fused and
+    reference detector and drains an untraced fused fleet alongside:
+    tracing must change no result, no state and no ``fused_steps``, and
+    each member's telemetry must match its per-session reference.
     """
     values = [v.copy() for v in values_by_k]
     if shift is not None:
@@ -110,15 +117,41 @@ def _drain_both(
     fused_dets = _build_fleet(spec, k_sessions, values)
     ref_dets = _build_fleet(spec, k_sessions, values)
     fleet = FleetEngine(fused_dets, min_fleet=min_fleet)
+    bare = fleet
+    if traced:
+        bare = FleetEngine(
+            _build_fleet(spec, k_sessions, values), min_fleet=min_fleet
+        )
+        for det in fused_dets + ref_dets:
+            det.telemetry = Telemetry()
     for start in range(WARMUP, WARMUP + n_steps, chunk):
         end = min(start + chunk, WARMUP + n_steps)
         blocks = [v[start:end] for v in values]
         fused = fleet.step_chunk(blocks)
+        untraced = bare.step_chunk(blocks) if traced else fused
         for k in range(k_sessions):
             reference = ref_dets[k].step_chunk(blocks[k])
-            for got, want in zip(fused[k], reference):
-                assert got.tobytes() == want.tobytes()
+            for got, want, plain in zip(fused[k], reference, untraced[k]):
+                assert got.tobytes() == want.tobytes() == plain.tobytes()
+    if traced:
+        _assert_tracing_neutral(fleet, bare, ref_dets)
     return fleet, fused_dets, ref_dets
+
+
+def _assert_tracing_neutral(fleet, bare, ref_dets):
+    """A traced fused fleet runs what an untraced one runs, and records
+    what per-session ``step_chunk`` records."""
+    assert fleet.fused_steps == bare.fused_steps > 0
+    for det, plain, ref in zip(fleet.detectors, bare.detectors, ref_dets):
+        assert state_fingerprint(det) == state_fingerprint(plain)
+        tel, ref_tel = det.telemetry, ref.telemetry
+        for name in ("steps", "drift_fires", "finetunes"):
+            assert tel.counters.get(name, 0) == ref_tel.counters.get(name, 0), name
+        assert set(tel.spans) <= set(CORE_SPANS)
+        assert tel.spans["represent"][0] == tel.counters["steps"]
+        fine_tunes = [e for e in tel.events if e["kind"] == "finetune"]
+        assert fine_tunes == [e for e in ref_tel.events if e["kind"] == "finetune"]
+        assert tel.spans.get("fine-tune", [0])[0] == len(fine_tunes)
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +163,10 @@ def _drain_both(
 @pytest.mark.parametrize("k_sessions,chunk", FLEET_SHAPES)
 def test_fleet_matches_per_session_bitwise(spec, k_sessions, chunk):
     values = [_series(k).values for k in range(k_sessions)]
+    # μ/σ members are traced: tracing must keep them fused, bitwise.
     fleet, fused_dets, ref_dets = _drain_both(
-        spec, k_sessions, chunk, values, n_steps=192
+        spec, k_sessions, chunk, values, n_steps=192,
+        traced=spec.task2 == "musigma",
     )
     for fused_det, ref_det in zip(fused_dets, ref_dets):
         assert state_fingerprint(fused_det) == state_fingerprint(ref_det)
@@ -185,7 +220,7 @@ def test_fleet_drift_storm_regular_bitwise(k_sessions, chunk):
     shift = [(k, 220 + 10 * k, 4.0) for k in range(k_sessions)]
     shift += [(k, 300 + 5 * k, -3.0) for k in range(k_sessions)]
     fleet, fused_dets, ref_dets = _drain_both(
-        spec, k_sessions, chunk, values, n_steps=160, shift=shift
+        spec, k_sessions, chunk, values, n_steps=160, shift=shift, traced=True
     )
     for fused_det, ref_det in zip(fused_dets, ref_dets):
         assert state_fingerprint(fused_det) == state_fingerprint(ref_det)

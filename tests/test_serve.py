@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.core.exceptions import StreamError
 from repro.core.registry import AlgorithmSpec, build_detector
+from repro.core.types import TimeSeries
 from repro.serve import (
     DetectionService,
     ProtocolError,
@@ -24,7 +25,7 @@ from repro.serve import (
     parse_request,
     spill_filename,
 )
-from repro.streaming import EnsembleDetector
+from repro.streaming import EnsembleDetector, run_stream
 
 CONFIG = dict(window=6, train_capacity=24, fit_epochs=2, kswin_check_every=4)
 
@@ -270,6 +271,81 @@ class TestFairness:
         # A full batch is due immediately.
         client.ingest("s", points(5))
         assert service.pump() == 8
+
+
+# ----------------------------------------------------------------------
+# fused drains at the default config
+# ----------------------------------------------------------------------
+def pump_rounds(client, streams, values, block=64):
+    """Ingest ``block`` points per session per round, drain every due
+    group with ``pump()`` (no synchronous flush), then collect."""
+    service = client.service
+    results = {stream: {} for stream in streams}
+    for start in range(0, len(values[0]), block):
+        for stream, series in zip(streams, values):
+            assert client.ingest(stream, series[start : start + block])["ok"]
+        while service.pump():
+            pass
+        for stream in streams:
+            for row in client.score(stream, flush=False)["results"]:
+                results[stream][row["seq"]] = row
+    return results
+
+
+class TestFusedDrain:
+    def test_default_config_fuses_traced_sessions(self):
+        """A default ``ServeConfig`` (per-session telemetry on) fuses
+        same-spec groups, counts each fused row once and stays bitwise
+        equal to offline ``run_stream``."""
+        service = DetectionService(ServeConfig(), autostart=False)
+        client = ServeClient(service)
+        streams = ["a", "b", "c"]
+        values = [points(320, seed=10 + k) for k in range(len(streams))]
+        for stream in streams:
+            reply = client.create(
+                stream, spec="ae+sw+musigma", n_channels=2, config=CONFIG
+            )
+            assert reply["ok"], reply
+        results = pump_rounds(client, streams, values)
+
+        stats = client.stats()
+        counters = stats["fleet"]["counters"]
+        assert counters["points_fused"] > 0
+        assert counters["fused_drains"] > 0
+        rollup = stats["rollup"]["counters"]
+        assert rollup["steps"] == rollup["points_scored"] == 3 * 320
+        for stream, series in zip(streams, values):
+            offline = run_stream(
+                build_detector(
+                    AlgorithmSpec("ae", "sw", "musigma"), 2,
+                    DetectorConfig(**CONFIG),
+                ),
+                TimeSeries(values=series, labels=np.zeros(len(series), dtype=int)),
+                batch_size=1,
+            )
+            served = np.array([results[stream][i]["score"] for i in range(320)])
+            assert served.tobytes() == offline.scores.tobytes(), stream
+
+    def test_unfusable_group_counts_no_fused_drains(self):
+        """KSWIN groups drain through the fleet engine's stock lane, so
+        no drain may be reported as fused."""
+        service = DetectionService(ServeConfig(), autostart=False)
+        client = ServeClient(service)
+        streams = ["k0", "k1"]
+        for stream in streams:
+            assert client.create(
+                stream, spec="ae+sw+kswin", n_channels=2, config=CONFIG
+            )["ok"]
+        values = [points(192, seed=20 + k) for k in range(len(streams))]
+        results = pump_rounds(client, streams, values)
+        assert all(len(results[stream]) == 192 for stream in streams)
+        stats = client.stats()
+        counters = stats["fleet"]["counters"]
+        assert counters.get("fused_drains", 0) == 0
+        assert counters.get("points_fused", 0) == 0
+        # The group did go through the fleet engine, all on its stock lane.
+        (manifest,) = stats["fleets"].values()
+        assert manifest["drains"] > 0 and manifest["fused_steps"] == 0
 
 
 # ----------------------------------------------------------------------
