@@ -10,8 +10,8 @@ both implementations:
   (one O(n log n) sort answers every threshold).
 
 plus the KSWIN drift-detector paths: batch (re-sort the pooled training
-set at every check) vs. incremental (sorted windows maintained with
-``searchsorted`` inserts/deletes from the update stream).
+set at every check) vs. incremental (rank counters over the sorted
+reference snapshot, moved by the update stream).
 
 Outputs are asserted equal — ``allclose`` at ``rtol=1e-9`` for the float
 curves and volumes, exactly for integer confusion counts and drift
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.experiments.evaluation import best_f1_threshold
 from repro.learning import KSWIN, SlidingWindow
+from repro.learning.base import NO_TRAIN_SET
 from repro.metrics import (
     candidate_thresholds,
     nab_sweep,
@@ -146,9 +147,12 @@ def bench_kswin(n_steps: int, seed: int = 3) -> dict:
     """Batch vs. incremental KSWIN over one simulated update stream.
 
     Both detectors see the same Task-1 updates; decisions must match
-    step-for-step (they are computed from bitwise-identical sorted
-    arrays).  Timing covers the whole loop including the incremental
-    path's sorted-window maintenance in ``observe``.
+    step-for-step (the counters yield the batch path's statistic bit
+    for bit).  Each loop feeds its detector the way the streaming engine
+    does: the training set is stacked only while the detector reports
+    ``needs_train_set`` (always, on the batch path) or when a fine-tune
+    fires.  Timing covers the whole loop including the counter upkeep
+    in ``observe``.
     """
     rng = np.random.default_rng(seed)
     shape = (100, 3)  # (w, N) feature windows at the paper's w=100
@@ -165,10 +169,15 @@ def bench_kswin(n_steps: int, seed: int = 3) -> dict:
         for t, x in enumerate(stream):
             update = strategy.update(x)
             detector.observe(update, t)
-            train_set = strategy.training_set()
+            if detector.needs_train_set:
+                train_set = strategy.training_set()
+            else:
+                train_set = NO_TRAIN_SET
             fired = detector.should_finetune(t, train_set)
             decisions.append(fired)
             if fired:
+                if train_set is NO_TRAIN_SET:
+                    train_set = strategy.training_set()
                 detector.notify_finetuned(t, train_set)
         return time.perf_counter() - started, decisions
 

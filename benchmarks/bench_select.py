@@ -8,7 +8,10 @@ Two questions an operator asks before arming ``repro.select``:
    (``min_dwell`` beyond the stream) so the numbers isolate pure shadow
    cost — each challenger re-scores every point through its own chunked
    engine, so the expected tax is roughly one detector's worth of work
-   per lane.
+   per lane.  Each row sets the lanes' cost per served point next to
+   the sum of the challengers' *solo* costs (each spec served alone, the
+   ``solo`` section), so a slow lane is never blamed on the lane
+   mechanism when the challenger spec itself is slow.
 
 2. **What does selection buy?**  The ``regret`` section streams a
    drifting series into a session whose champion is deliberately wrong
@@ -109,12 +112,12 @@ def _service():
     )
 
 
-def serve_run(values, select, chunk=64):
+def serve_run(values, select, chunk=64, spec=CHAMPION):
     """Drive one session to completion; return results, stats, rate."""
     service = _service()
     client = ServeClient(service)
     reply = client.create(
-        "bench", spec=CHAMPION, n_channels=N_CHANNELS, select=select
+        "bench", spec=spec, n_channels=N_CHANNELS, select=select
     )
     assert reply["ok"], reply
     by_seq = {}
@@ -160,8 +163,25 @@ def assert_equivalence(values):
     }
 
 
-def overhead_section(values):
-    """Serving rate at 0 / 1 / 3 challenger lanes, promotion disabled."""
+def solo_section(values):
+    """Serving rate of each challenger spec alone, no selection."""
+    rows = []
+    for spec in (CHALLENGER, *EXTRA_LANES):
+        rate = serve_run(values, None, spec=spec)["points_per_second"]
+        rows.append(
+            {"spec": spec, "points_per_second": rate, "us_per_pt": 1e6 / rate}
+        )
+    return rows
+
+
+def overhead_section(values, solo):
+    """Serving rate at 0 / 1 / 3 challenger lanes, promotion disabled.
+
+    ``lane_us_per_pt`` is what the lanes add per served point over the
+    champion alone; ``challengers_solo_us_per_pt`` is the sum of the
+    challengers' costs served alone, from ``solo``.
+    """
+    solo_us = {row["spec"]: row["us_per_pt"] for row in solo}
     rows = []
     baseline = None
     for lanes in ([], [CHALLENGER], [CHALLENGER, *EXTRA_LANES]):
@@ -177,9 +197,24 @@ def overhead_section(values):
                 "challengers": lanes,
                 "points_per_second": rate,
                 "relative_rate": rate / baseline,
+                "lane_us_per_pt": 1e6 / rate - 1e6 / baseline,
+                "challengers_solo_us_per_pt": sum(solo_us[s] for s in lanes),
             }
         )
     return rows
+
+
+def print_lane_costs(payload: dict) -> None:
+    """One line per overhead row: lane cost next to the solo cost."""
+    print(f"{'challengers':<52} {'lane us/pt':>11} {'solo us/pt':>11}")
+    for row in payload["overhead"][1:]:
+        print(
+            f"{', '.join(row['challengers']):<52} "
+            f"{row['lane_us_per_pt']:>11.1f} "
+            f"{row['challengers_solo_us_per_pt']:>11.1f}"
+        )
+    for row in payload["solo"]:
+        print(f"  solo {row['spec']:<46} {row['points_per_second']:>11.0f} pts/s")
 
 
 def _cumulative_trace(nonconformities, n_samples=50):
@@ -249,6 +284,7 @@ def run_benchmarks(fast: bool) -> dict:
     # Overhead rows use a shorter slice in fast mode; the regret stream
     # needs the full drift arc either way.
     equivalence = assert_equivalence(values)
+    solo = solo_section(values)
     return {
         "generated_by": "benchmarks/bench_select.py",
         "mode": "fast" if fast else "full",
@@ -256,7 +292,8 @@ def run_benchmarks(fast: bool) -> dict:
         "n_points": n,
         "config": CONFIG,
         "equivalence": equivalence,
-        "overhead": overhead_section(values),
+        "solo": solo,
+        "overhead": overhead_section(values, solo),
         # The bound is generous in fast mode: with only ~200 post-drift
         # points, most of them are spent proving the win is durable.
         "regret": regret_section(values, tracking_bound=8.0 if fast else 3.0),
@@ -282,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = run_benchmarks(fast=args.fast)
     out = write_results(payload, args.out)
     print(json.dumps(payload, indent=2))
+    print_lane_costs(payload)
     print(f"results written to {out}")
     return 0
 

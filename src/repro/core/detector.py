@@ -26,16 +26,11 @@ import numpy as np
 from repro.core.exceptions import ConfigurationError, StreamError
 from repro.core.representation import RollingBuffer, WindowRepresentation
 from repro.core.types import FineTuneEvent, StepResult, StreamVector, count_finetunes
-from repro.learning.base import DriftDetector, TrainingSetStrategy
+from repro.learning.base import NO_TRAIN_SET, DriftDetector, TrainingSetStrategy
 from repro.models.base import StreamModel
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.scoring.anomaly_score import AnomalyScorer
 from repro.scoring.nonconformity import NonconformityMeasure
-
-#: Placeholder handed to drift detectors that declare
-#: ``needs_train_set = False`` — materializing the real training set is an
-#: ``np.stack`` over the whole Task-1 buffer and dominated the per-step cost.
-_NO_TRAIN_SET = np.empty((0,))
 
 
 class StreamingAnomalyDetector:
@@ -348,9 +343,11 @@ class StreamingAnomalyDetector:
             fine_out[i] = True
 
     def _segment_train_set(self) -> np.ndarray:
+        # Materializing the training set is an ``np.stack`` over the whole
+        # Task-1 buffer; skip it for detectors that decide without it.
         if self.drift_detector.needs_train_set:
             return self.train_strategy.training_set()
-        return _NO_TRAIN_SET
+        return NO_TRAIN_SET
 
     def _sequential_segment(
         self,

@@ -22,6 +22,10 @@ import numpy as np
 
 from repro.core.types import FeatureVector, FloatArray
 
+#: Placeholder handed to :meth:`DriftDetector.should_finetune` in place of
+#: the training set while the detector reports ``needs_train_set = False``.
+NO_TRAIN_SET = np.empty((0,))
+
 
 class UpdateKind(enum.Enum):
     """How a Task-1 strategy changed the training set at one step."""
@@ -134,11 +138,12 @@ class DriftDetector:
 
     name = "base"
 
-    #: Whether :meth:`should_finetune` reads its ``train_set`` argument.
-    #: Detectors that set this to ``False`` promise to ignore the argument
-    #: entirely, which lets the chunked streaming engine skip materializing
-    #: the training set (an ``np.stack`` over the whole Task-1 buffer) on
-    #: every step.  ``True`` is the safe default.
+    #: Whether :meth:`should_finetune` needs its ``train_set`` argument.
+    #: While this is ``False`` the chunked streaming engine skips
+    #: materializing the training set (an ``np.stack`` over the whole
+    #: Task-1 buffer) and passes :data:`NO_TRAIN_SET` instead; the
+    #: detector must then decide from its own state.  ``True`` is the
+    #: safe default.
     needs_train_set = True
 
     def __init__(self) -> None:

@@ -68,15 +68,16 @@ def kswin_ops(m: int, w: int, n_channels: int) -> OpCounts:
 
 
 def kswin_incremental_ops(m: int, w: int, n_channels: int) -> OpCounts:
-    """Per-step cost of the incremental (sorted-window) KSWIN path.
+    """Per-step cost of the incremental KSWIN path.
 
-    Maintaining each channel's pooled sample sorted removes the sorting
-    unit from the check: only the merged binary searches remain,
-    ``~4 m w log2(m w)`` comparisons per channel.  The sorted-window
-    upkeep (two ``O(w log(m w))`` searchsorted placements when a vector
-    enters/leaves the set) is paid per *update* in ``observe``, not per
-    check, and is negligible against the ``4 m`` search term.  Additions
-    and multiplications (CDF differences and normalisation) are unchanged
+    The detector keeps its samples' order incrementally (rank counters
+    over the sorted reference), which removes the sorting unit from the
+    check; the accounting keeps the sorted-sample KS test's merged binary
+    searches, ``~4 m w log2(m w)`` comparisons per channel.  The upkeep
+    (two ``O(w log(m w))`` binary searches when a vector enters/leaves
+    the set) is paid per *update* in ``observe``, not per check, and is
+    negligible against the ``4 m`` search term.  Additions and
+    multiplications (CDF differences and normalisation) are unchanged
     from :func:`kswin_ops`.
     """
     _validate(m, w, n_channels)

@@ -5,7 +5,7 @@ every live detector carries model parameters, a training set and scorer
 history.  The store keeps at most ``max_live`` detectors hydrated; the
 least-recently-active evictable session beyond that is *spilled*:
 serialized with :func:`~repro.streaming.checkpoint.save_detector`
-(atomic write, ``CHECKPOINT_VERSION`` 3) into the spill directory and
+(atomic write, ``CHECKPOINT_VERSION`` 4) into the spill directory and
 dropped from memory.  The session object itself — sequence numbers,
 queues, result buffer, telemetry — stays resident; only the detector is
 swapped out.  The next point for an evicted stream rehydrates it

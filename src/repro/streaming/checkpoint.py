@@ -11,8 +11,13 @@ load checkpoints you produced yourself.
 
 Versioning policy: ``CHECKPOINT_VERSION`` is bumped whenever the pickled
 detector structure changes in a way an older (or newer) library would
-silently mis-resume — *not* only when unpickling would crash.  Version 3
-covers the fused-fleet work: the batched forward uses tile geometry 1
+silently mis-resume — *not* only when unpickling would crash.  Version 4
+covers KSWIN's rank counters: the detector's pickled state changed layout
+(a sorted reference plus rank histograms in place of per-channel sorted
+pools), so a v3 checkpoint would resume with a stale sorted-pool list the
+detector no longer reads and no counters, silently demoted to the batch
+check.  Version 3 covered the fused-fleet work: the batched forward uses
+tile geometry 1
 (``repro.models.base.BATCH_TILE``), whose GEMM row bits differ from the
 earlier fixed-tile layout, so a v2 checkpoint resumed here would diverge
 bitwise from its recorded scores mid-stream; nn modules also stopped
@@ -45,7 +50,7 @@ import numpy as np
 from repro.core.detector import StreamingAnomalyDetector
 
 #: bump when the detector's persisted structure changes incompatibly.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def fsync_dir(path: str | Path) -> None:

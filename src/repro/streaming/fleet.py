@@ -13,9 +13,12 @@ per-step cost in Python/numpy dispatch overhead repeated K times.  The
   identical to per-session calls);
 - the drift machinery is previewed session-vectorized: for the fusable
   Task-2 strategies the fine-tune decisions are independent of the
-  anomaly scores, so a :class:`~repro.learning.drift.MuSigmaLane`
-  replays observe/should-finetune over ``(K, D)`` state *copies* before
-  anything is committed;
+  anomaly scores, so one drift-lane table (never, regular, μ/σ-Change,
+  KSWIN) previews them before anything is committed — a
+  :class:`~repro.learning.drift.MuSigmaLane` replays observe /
+  should-finetune over ``(K, D)`` state *copies*, a
+  :class:`~repro.learning.kswin.KswinLane` over copies of the KSWIN
+  rank counters;
 - sessions whose preview fires *stay on the fused path*: the round-based
   drain scores fused up to each session's previewed fire offset, groups
   the co-firing sessions and runs one session-axis fused fine-tune per
@@ -52,6 +55,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.detector import StreamingAnomalyDetector
+from repro.core.representation import WindowRepresentation
 from repro.core.types import FineTuneEvent
 from repro.learning.drift import (
     MuSigmaChange,
@@ -59,6 +63,7 @@ from repro.learning.drift import (
     NeverFineTune,
     RegularFineTuning,
 )
+from repro.learning.kswin import KSWIN, KswinLane
 from repro.learning.sliding_window import SlidingWindow
 from repro.nn.arena import FleetIncompatible, ParameterArena
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -68,7 +73,160 @@ from repro.scoring.anomaly_score import AnomalyLikelihood
 #: scores, drift flags, fine-tune flags), each aligned with the block.
 BlockResult = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-_FUSABLE_DRIFT = (MuSigmaChange, RegularFineTuning, NeverFineTune)
+
+# ----------------------------------------------------------------------
+# drift lanes: how each fusable Task-2 strategy previews and commits
+# ----------------------------------------------------------------------
+class _NeverPreview:
+    """Drift lane of :class:`NeverFineTune`, and the lane interface.
+
+    ``ready(det)`` says whether a member's drift state can join a fused
+    drain, ``same(a, b)`` whether two members' detectors can share one
+    lane.  An instance is one round's preview: ``fired_at`` holds each
+    session's first previewed fire offset (-1 for none) and
+    :meth:`commit` settles a session's committed span into its detector.
+    """
+
+    @staticmethod
+    def ready(det: StreamingAnomalyDetector) -> bool:
+        return True
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return True
+
+    def __init__(
+        self,
+        detectors: list[StreamingAnomalyDetector],
+        remaining: list[tuple[int, np.ndarray]],
+    ) -> None:
+        self.fired_at = np.full(len(remaining), -1, dtype=np.int64)
+
+    def commit(self, i: int, det: StreamingAnomalyDetector, n: int) -> None:
+        pass
+
+
+class _RegularPreview(_NeverPreview):
+    """Fires at every multiple of the interval: clock arithmetic."""
+
+    @staticmethod
+    def same(a: RegularFineTuning, b: RegularFineTuning) -> bool:
+        return a.interval == b.interval
+
+    def __init__(self, detectors, remaining) -> None:
+        super().__init__(detectors, remaining)
+        for i, (k, windows) in enumerate(remaining):
+            det = detectors[k]
+            interval = det.drift_detector.interval
+            t_next = (det.t // interval + 1) * interval
+            if t_next <= det.t + len(windows):
+                self.fired_at[i] = t_next - det.t - 1
+
+    def commit(self, i, det, n) -> None:
+        det.drift_detector.ops.comparisons += n
+
+
+class _ReplayPreview(_NeverPreview):
+    """Replays each session's training-set updates through a
+    session-axis lane over state copies, stopping a session at its
+    first fire.  The decisions depend on the updates only, never on the
+    scores, so they can be previewed before anything is scored.
+    Subclasses ``open`` the lane over the round's update arrays and
+    ``step`` the sessions ``idx`` through update ``j``; the arrays are
+    dropped once the preview is done."""
+
+    def __init__(self, detectors, remaining) -> None:
+        super().__init__(detectors, remaining)
+        lengths = np.array([len(w) for _, w in remaining])
+        shape = (len(remaining), int(lengths.max())) + remaining[0][1].shape[1:]
+        added = np.zeros(shape, dtype=np.float64)
+        removed = np.zeros(shape, dtype=np.float64)
+        self.replaced = np.zeros(shape[:2], dtype=bool)
+        for i, (k, windows) in enumerate(remaining):
+            b = len(windows)
+            added[i, :b] = windows
+            rep, rem = detectors[k].train_strategy.preview_block(windows)
+            self.replaced[i, :b] = rep
+            removed[i, :b] = rem
+        self.lane = self.open([detectors[k] for k, _ in remaining], added, removed)
+        alive = np.ones(len(remaining), dtype=bool)
+        for j in range(shape[1]):
+            active = alive & (j < lengths)
+            if not active.any():
+                break
+            idx = np.flatnonzero(active)
+            newly = idx[self.step(idx, j, added, removed)]
+            self.fired_at[newly] = j
+            alive[newly] = False
+
+
+class _MuSigmaPreview(_ReplayPreview):
+    @staticmethod
+    def ready(det) -> bool:
+        return det.drift_detector.fuse_ready
+
+    @staticmethod
+    def same(a: MuSigmaChange, b: MuSigmaChange) -> bool:
+        return a.aggregate == b.aggregate and a.std_factor == b.std_factor
+
+    def open(self, detectors, added, removed) -> MuSigmaLane:
+        return MuSigmaLane([det.drift_detector for det in detectors])
+
+    def step(self, idx, j, added, removed) -> np.ndarray:
+        n = len(idx)
+        return self.lane.step(
+            idx,
+            added[idx, j].reshape(n, -1),
+            removed[idx, j].reshape(n, -1),
+            self.replaced[idx, j],
+        )
+
+    def commit(self, i, det, n) -> None:
+        n_replaced = int(self.replaced[i, :n].sum())
+        self.lane.commit(i, det.drift_detector, n - n_replaced, n_replaced, n)
+
+
+class _KswinPreview(_ReplayPreview):
+    """KSWIN over a full sliding window of stream windows: every update
+    replaces one window, so the rank counters stack into one
+    :class:`KswinLane`."""
+
+    @staticmethod
+    def ready(det) -> bool:
+        drift, strategy = det.drift_detector, det.train_strategy
+        return (
+            type(det.buffer.representation) is WindowRepresentation
+            and strategy.is_full
+            and drift.fuse_ready
+            and drift.tracks((len(strategy), det.window, det.n_channels))
+        )
+
+    @staticmethod
+    def same(a: KSWIN, b: KSWIN) -> bool:
+        return a._reference.shape == b._reference.shape
+
+    def open(self, detectors, added, removed) -> KswinLane:
+        return KswinLane(
+            [det.drift_detector for det in detectors],
+            [det.t for det in detectors],
+            added,
+            removed,
+        )
+
+    def step(self, idx, j, added, removed) -> np.ndarray:
+        return self.lane.step(idx, j)
+
+    def commit(self, i, det, n) -> None:
+        self.lane.commit(i, det.drift_detector, n)
+
+
+#: The fusable Task-2 strategies, by exact type.
+_DRIFT_LANES: dict[type, type[_NeverPreview]] = {
+    NeverFineTune: _NeverPreview,
+    RegularFineTuning: _RegularPreview,
+    MuSigmaChange: _MuSigmaPreview,
+    KSWIN: _KswinPreview,
+}
 
 
 class FleetEngine:
@@ -287,11 +445,8 @@ class FleetEngine:
             return False
         if not det.nonconformity.supports_fused:
             return False
-        drift = det.drift_detector
-        if type(drift) is MuSigmaChange:
-            if not drift.fuse_ready:
-                return False
-        elif type(drift) not in (RegularFineTuning, NeverFineTune):
+        lane = _DRIFT_LANES.get(type(det.drift_detector))
+        if lane is None or not lane.ready(det):
             return False
         return bool(np.isfinite(block).all())
 
@@ -310,13 +465,7 @@ class FleetEngine:
         if type(det.buffer.representation) is not type(ref.buffer.representation):
             return False
         a, b = det.drift_detector, ref.drift_detector
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, MuSigmaChange):
-            return a.aggregate == b.aggregate and a.std_factor == b.std_factor
-        if isinstance(a, RegularFineTuning):
-            return a.interval == b.interval
-        return True
+        return type(a) is type(b) and _DRIFT_LANES[type(a)].same(a, b)
 
     # ------------------------------------------------------------------
     def _preview_drift(
@@ -325,58 +474,16 @@ class FleetEngine:
         """First previewed fine-tune offset per session, -1 when none.
 
         For the fusable Task-2 strategies the decision sequence is a
-        function of the training-set updates (never the scores), so it
-        can be computed before any scoring — on copies, so the members'
-        state stays untouched until the span is committed.  ``remaining``
-        carries each session's not-yet-scored windows; the preview is
-        rebuilt per round so a fine-tune's ``notify_finetuned`` reference
-        reset is picked up by the next round automatically.
+        function of the training-set updates (never the scores), so the
+        round's drift lane computes it before any scoring — on copies, so
+        the members' state stays untouched until the span is committed.
+        ``remaining`` carries each session's not-yet-scored windows; the
+        preview is rebuilt per round so a fine-tune's ``notify_finetuned``
+        reference reset is picked up by the next round automatically.
         """
-        n = len(remaining)
-        fired_at = np.full(n, -1, dtype=np.int64)
         drift0 = self.detectors[remaining[0][0]].drift_detector
-        if isinstance(drift0, NeverFineTune):
-            return fired_at
-        if isinstance(drift0, RegularFineTuning):
-            interval = drift0.interval
-            for i, (k, windows) in enumerate(remaining):
-                t0 = self.detectors[k].t
-                t_next = (t0 // interval + 1) * interval
-                if t_next <= t0 + len(windows):
-                    fired_at[i] = t_next - t0 - 1
-            return fired_at
-
-        # μ/σ-Change: vectorized (K, D) replay over state copies.
-        lengths = np.array([len(w) for _, w in remaining])
-        b_max = int(lengths.max())
-        dim = remaining[0][1][0].size
-        added = np.zeros((n, b_max, dim), dtype=np.float64)
-        removed = np.zeros_like(added)
-        replaced = np.zeros((n, b_max), dtype=bool)
-        for i, (k, windows) in enumerate(remaining):
-            b = len(windows)
-            added[i, :b] = windows.reshape(b, -1)
-            rep, rem = self.detectors[k].train_strategy.preview_block(windows)
-            replaced[i, :b] = rep
-            removed[i, :b] = rem.reshape(b, -1)
-        lane = MuSigmaLane(
-            [self.detectors[k].drift_detector for k, _ in remaining]
-        )
-        self._lane = lane  # kept for the span commit
-        alive = np.ones(n, dtype=bool)
-        for j in range(b_max):
-            active = alive & (j < lengths)
-            if not active.any():
-                break
-            idx = np.flatnonzero(active)
-            fired = lane.step(
-                idx, added[idx, j], removed[idx, j], replaced[idx, j]
-            )
-            newly = idx[fired]
-            fired_at[newly] = j
-            alive[newly] = False
-        self._replaced = replaced  # per-row flags for the span commit
-        return fired_at
+        self._round = _DRIFT_LANES[type(drift0)](self.detectors, remaining)
+        return self._round.fired_at
 
     # ------------------------------------------------------------------
     def _fused_predictions(
@@ -481,12 +588,7 @@ class FleetEngine:
         if det.first_scored_step is None:
             det.first_scored_step = det.t + 1
         det.train_strategy.commit_block(windows)
-        drift = det.drift_detector
-        if isinstance(drift, MuSigmaChange):
-            n_replaced = int(self._replaced[i, :n].sum())
-            self._lane.commit(i, drift, n - n_replaced, n_replaced, n)
-        elif isinstance(drift, RegularFineTuning):
-            drift.ops.comparisons += n
+        self._round.commit(i, det, n)
         det.t += n
         a_res, f_res, d_res, fi_res = result
         a_res[pos : pos + n] = a_out

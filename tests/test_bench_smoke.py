@@ -269,6 +269,15 @@ def test_bench_select_smoke(tmp_path):
     assert set(rows) == {0, 1, 3}
     for row in rows.values():
         assert row["points_per_second"] > 0
+    # Every challenger's solo rate is reported next to its lane cost.
+    solo = {row["spec"]: row for row in payload["solo"]}
+    assert set(solo) == set(rows[3]["challengers"])
+    assert all(row["points_per_second"] > 0 for row in solo.values())
+    for row in rows.values():
+        assert row["challengers_solo_us_per_pt"] == sum(
+            solo[spec]["us_per_pt"] for spec in row["challengers"]
+        )
+        assert "lane_us_per_pt" in row
     # Shadow lanes cost throughput, never correctness: the baseline is
     # the fastest row and more lanes are monotonically slower.
     assert rows[0]["relative_rate"] == 1.0

@@ -18,6 +18,7 @@ merely different.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.datasets.corpora import make_daphnet
+from repro.learning.kswin import KSWIN
 from repro.models.base import BATCH_TILE, tiled_forward
 from repro.nn.arena import FleetIncompatible, ParameterArena
 from repro.obs.telemetry import CORE_SPANS, Telemetry
@@ -42,6 +44,7 @@ FLEET_SPECS = (
     AlgorithmSpec("usad", "sw", "musigma"),
     AlgorithmSpec("nbeats", "sw", "regular"),
     AlgorithmSpec("ae", "sw", "never"),
+    AlgorithmSpec("ae", "sw", "kswin"),
 )
 
 #: (K, chunk) grid: fleet sizes {1, 3, 8} × chunk sizes {1, 7, 64},
@@ -53,11 +56,11 @@ def _series(k: int, n_steps: int = 600):
     return make_daphnet(n_series=1, n_steps=n_steps, clean_prefix=200, seed=k)[0]
 
 
-def _build_fleet(spec: AlgorithmSpec, k_sessions: int, values_by_k):
+def _build_fleet(spec: AlgorithmSpec, k_sessions: int, values_by_k, config=CONFIG):
     """K warmed-up detectors, deterministically reproducible."""
     detectors = []
     for k in range(k_sessions):
-        det = build_detector(spec, _series(k).n_channels, CONFIG)
+        det = build_detector(spec, _series(k).n_channels, config)
         for t in range(WARMUP):
             det.step(values_by_k[k][t])
         detectors.append(det)
@@ -75,6 +78,12 @@ def state_fingerprint(det) -> bytes:
             drift._count,
             drift._ref_mean.tobytes(),
             drift._ref_std.tobytes(),
+        )
+    if isinstance(drift, KSWIN):
+        drift_state += (
+            None if drift._reference is None else drift._reference.tobytes(),
+            None if drift._ranks is None else drift._ranks.tobytes(),
+            drift._tracked,
         )
     return pickle.dumps(
         {
@@ -98,7 +107,7 @@ def state_fingerprint(det) -> bytes:
 
 def _drain_both(
     spec, k_sessions, chunk, values_by_k, n_steps, shift=None, min_fleet=1,
-    traced=False,
+    traced=False, config=CONFIG,
 ):
     """Run fused vs per-session over identical streams; return both fleets.
 
@@ -114,13 +123,13 @@ def _drain_both(
     if shift is not None:
         for k, start, delta in shift:
             values[k][start:] += delta
-    fused_dets = _build_fleet(spec, k_sessions, values)
-    ref_dets = _build_fleet(spec, k_sessions, values)
+    fused_dets = _build_fleet(spec, k_sessions, values, config)
+    ref_dets = _build_fleet(spec, k_sessions, values, config)
     fleet = FleetEngine(fused_dets, min_fleet=min_fleet)
     bare = fleet
     if traced:
         bare = FleetEngine(
-            _build_fleet(spec, k_sessions, values), min_fleet=min_fleet
+            _build_fleet(spec, k_sessions, values, config), min_fleet=min_fleet
         )
         for det in fused_dets + ref_dets:
             det.telemetry = Telemetry()
@@ -163,10 +172,11 @@ def _assert_tracing_neutral(fleet, bare, ref_dets):
 @pytest.mark.parametrize("k_sessions,chunk", FLEET_SHAPES)
 def test_fleet_matches_per_session_bitwise(spec, k_sessions, chunk):
     values = [_series(k).values for k in range(k_sessions)]
-    # μ/σ members are traced: tracing must keep them fused, bitwise.
+    # μ/σ and KSWIN members are traced: tracing must keep them fused,
+    # bitwise.
     fleet, fused_dets, ref_dets = _drain_both(
         spec, k_sessions, chunk, values, n_steps=192,
-        traced=spec.task2 == "musigma",
+        traced=spec.task2 in ("musigma", "kswin"),
     )
     for fused_det, ref_det in zip(fused_dets, ref_dets):
         assert state_fingerprint(fused_det) == state_fingerprint(ref_det)
@@ -272,6 +282,70 @@ def test_fleet_drift_storm_musigma_co_firing_bitwise():
     manifest = fleet.manifest()
     assert manifest["fused_fraction"] == 1.0
     assert manifest["finetunes_fused"] > 0
+
+
+@pytest.mark.parametrize("check_every", (1, 3))
+def test_fleet_drift_storm_kswin_bitwise(check_every):
+    """KSWIN storms: the rank counters replay session-axis in a
+    :class:`KswinLane`, so KSWIN fleets fire, fine-tune fused and stay
+    on the fused path — at the paper's check_every=1 and off-grid."""
+    spec = AlgorithmSpec("ae", "sw", "kswin")
+    config = DetectorConfig(
+        window=8, train_capacity=32, fit_epochs=2, kswin_check_every=check_every
+    )
+    values = [_series(k).values for k in range(4)]
+    shift = [(k, 230, 6.0) for k in range(4)]
+    shift += [(k, 320, -5.0) for k in range(4)]
+    fleet, fused_dets, ref_dets = _drain_both(
+        spec, 4, 16, values, n_steps=256, shift=shift, config=config,
+        traced=True,
+    )
+    for fused_det, ref_det in zip(fused_dets, ref_dets):
+        assert state_fingerprint(fused_det) == state_fingerprint(ref_det)
+        assert pickle.dumps(fused_det) == pickle.dumps(ref_det)
+    assert all(det.n_finetunes > 0 for det in fused_dets)
+    manifest = fleet.manifest()
+    assert manifest["fused_fraction"] == 1.0
+    assert manifest["finetunes_fused"] > 0
+
+
+def test_fleet_kswin_member_not_fuse_ready_runs_stock():
+    """A KSWIN member whose reference predates its full window is not
+    fuse-ready: it steps through its own engine while the others fuse,
+    rejoins once a fine-tune re-snapshots a full window, and everyone
+    stays bitwise equal to per-session stepping."""
+    spec = AlgorithmSpec("ae", "sw", "kswin")
+    # Member 1 fits (and snapshots its KSWIN reference) at 20 of 32
+    # training vectors and has just filled its window: r_i < r_t.
+    configs = [CONFIG, dataclasses.replace(CONFIG, initial_train_size=20), CONFIG]
+    warmups = [WARMUP, 40, WARMUP]
+    values = [_series(k).values for k in range(3)]
+    fleets = []
+    for _ in range(2):
+        dets = [build_detector(spec, 9, config) for config in configs]
+        for det, series, warmup in zip(dets, values, warmups):
+            for t in range(warmup):
+                det.step(series[t])
+        fleets.append(dets)
+    fused_dets, ref_dets = fleets
+    assert fused_dets[1].train_strategy.is_full
+    assert not fused_dets[1].drift_detector.fuse_ready
+    assert fused_dets[0].drift_detector.fuse_ready
+    fleet = FleetEngine(fused_dets)
+    lanes = []
+    for start in range(0, 192, 16):
+        blocks = [v[w + start : w + start + 16] for v, w in zip(values, warmups)]
+        fused = fleet.step_chunk(blocks)
+        lanes.append(fleet.last_drain)
+        for k in range(3):
+            want = ref_dets[k].step_chunk(blocks[k])
+            for got, expected in zip(fused[k], want):
+                assert got.tobytes() == expected.tobytes()
+    assert 1 in lanes[0]["stock"]
+    assert all(0 in lane["fused"] and 2 in lane["fused"] for lane in lanes)
+    assert any(1 in lane["fused"] for lane in lanes)  # rejoined
+    for fused_det, ref_det in zip(fused_dets, ref_dets):
+        assert state_fingerprint(fused_det) == state_fingerprint(ref_det)
 
 
 def test_fleet_staggered_fire_offsets_same_chunk_bitwise():

@@ -11,14 +11,19 @@ from repro.learning import (
     AnomalyAwareReservoir,
     SlidingWindow,
     UniformReservoir,
+    Update,
+    UpdateKind,
     ks_critical_value,
     ks_statistic,
     ks_statistic_sorted,
     kswin_incremental_ops,
     kswin_ops,
 )
+from repro.learning.base import NO_TRAIN_SET
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+#: heavily tied values, signed zeros included.
+tied = st.sampled_from([-1.5, -0.0, 0.0, 0.0, 1.0, 1.0, 2.5])
 
 
 class TestKSStatistic:
@@ -251,7 +256,7 @@ class TestKSWINIncremental:
         incremental = _drive(KSWIN(incremental=True), SlidingWindow(6), stream)
         assert incremental == batch
 
-    def test_sorted_pools_mirror_training_set(self):
+    def test_rank_counters_mirror_training_set(self):
         rng = np.random.default_rng(2)
         strategy = SlidingWindow(10)
         detector = KSWIN(incremental=True)
@@ -259,19 +264,16 @@ class TestKSWINIncremental:
             update = strategy.update(rng.normal(size=(4, 2)))
             detector.observe(update, t)
             detector.should_finetune(t, strategy.training_set())
-        pooled = KSWIN._per_channel(strategy.training_set())
-        assert detector._current_sorted is not None
-        for channel in range(pooled.shape[0]):
-            assert np.array_equal(
-                detector._current_sorted[channel], np.sort(pooled[channel])
-            )
+        assert not detector.needs_train_set
+        _assert_counters_mirror(detector, strategy.training_set())
 
     def test_without_observe_falls_back_to_batch(self, rng):
         # Direct should_finetune calls (as the Table II benchmark makes)
         # never build incremental state, and keep working.
         detector = KSWIN(incremental=True)
         detector.should_finetune(0, rng.normal(size=(20, 8, 3)))
-        assert detector._current_sorted is None
+        assert detector._tracked is None and detector._ranks is None
+        assert detector.needs_train_set
         assert detector.should_finetune(1, rng.normal(loc=5.0, size=(20, 8, 3)))
 
     def test_desync_falls_back_to_batch(self, rng):
@@ -297,10 +299,99 @@ class TestKSWINIncremental:
         detector = KSWIN(incremental=True)
         for t in range(10):
             detector.observe(strategy.update(rng.normal(size=(4, 2))), t)
-        assert detector._current_sorted is not None
+        detector.notify_finetuned(9, strategy.training_set())
+        assert detector._tracked is not None and detector._ranks is not None
         detector.reset()
-        assert detector._current_sorted is None
-        assert detector._reference_sorted is None
+        assert detector._tracked is None and detector._ranks is None
+        assert detector._reference is None
+        assert detector.needs_train_set
+
+
+def _assert_counters_mirror(detector, train_set):
+    """The live counters hold, per channel and distinct reference value
+    ``u``, the current values ``<= u`` and ``< u`` — ``searchsorted``
+    counts against the pooled training set."""
+    pooled = np.sort(KSWIN._per_channel(train_set), axis=1)
+    assert detector._tracked == pooled.shape
+    counts = np.cumsum(detector._ranks, axis=2)
+    for channel, reference in enumerate(detector._reference):
+        distinct = np.unique(reference)
+        at_or_below, below = counts[channel, :, : distinct.size]
+        current = pooled[channel]
+        assert np.array_equal(
+            at_or_below, np.searchsorted(current, distinct, side="right")
+        )
+        assert np.array_equal(below, np.searchsorted(current, distinct, side="left"))
+
+
+def _counter_distances(reference, current):
+    """Per-channel statistic read off the rank counters of a detector
+    whose reference holds the ``(r_i, N)`` rows ``reference`` and whose
+    observed set holds the ``(r_t, N)`` rows ``current`` (r_t >= r_i:
+    replace every reference row, then append the rest)."""
+    detector = KSWIN()
+    for t, row in enumerate(reference):
+        detector.observe(Update(UpdateKind.ADDED, added=row), t)
+    detector.should_finetune(0, reference)  # adopts the reference
+    for t, row in enumerate(current):
+        if t < len(reference):
+            update = Update(UpdateKind.REPLACED, added=row, removed=reference[t])
+        else:
+            update = Update(UpdateKind.ADDED, added=row)
+        detector.observe(update, t)
+    assert not detector.needs_train_set
+    return detector._distances()
+
+
+class TestRankCounters:
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.lists(st.one_of(tied, floats), min_size=1, max_size=120),
+        st.lists(st.one_of(tied, floats), min_size=1, max_size=120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_statistic_bitwise_equal_to_sorted_ks(self, n_channels, a, b):
+        """Ties, signed zeros and unequal sizes (a reference snapshotted
+        in the growth phase) give the very float of the merged-sample
+        statistic."""
+        a = np.asarray(a[: len(a) // n_channels * n_channels])
+        b = np.asarray(b[: len(b) // n_channels * n_channels])
+        if a.size == 0 or b.size == 0:
+            return
+        a, b = a.reshape(-1, n_channels), b.reshape(-1, n_channels)
+        if len(b) < len(a):
+            a, b = b, a  # the training set never shrinks
+        distances = _counter_distances(a, b)
+        for channel in range(n_channels):
+            want = ks_statistic_sorted(
+                np.sort(a[:, channel]), np.sort(b[:, channel])
+            )
+            assert distances[channel].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("strategy_name", ["sw", "ur", "ar"])
+    @pytest.mark.parametrize("shape", [(6, 3), (8,)])
+    def test_counters_track_random_update_streams(self, strategy_name, shape):
+        """After SW/uRES/ARES update streams (drift, fires, reference
+        resets) the counters equal searchsorted counts of the pooled
+        training set, and the detector never needed the stacked set."""
+        rng = np.random.default_rng(7)
+        strategy = _make_strategy(strategy_name, 24, 3)
+        detector = KSWIN()
+        fires = 0
+        for t in range(260):
+            x = np.round(rng.normal(size=shape), 1) + (3.0 if t > 140 else 0.0)
+            detector.observe(strategy.update(x, score=float(abs(x).mean())), t)
+            if not strategy.is_full:
+                continue
+            if detector._reference is None:
+                detector.notify_finetuned(t, strategy.training_set())
+            assert not detector.needs_train_set
+            if detector.should_finetune(t, NO_TRAIN_SET):
+                fires += 1
+                detector.notify_finetuned(t, strategy.training_set())
+            _assert_counters_mirror(detector, strategy.training_set())
+        if strategy_name == "sw":
+            assert fires > 0
 
 
 class TestIncrementalOpFormula:

@@ -327,14 +327,15 @@ class TestFusedDrain:
             assert served.tobytes() == offline.scores.tobytes(), stream
 
     def test_unfusable_group_counts_no_fused_drains(self):
-        """KSWIN groups drain through the fleet engine's stock lane, so
-        no drain may be reported as fused."""
+        """uRES groups drain through the fleet engine's stock lane (the
+        fused path needs a sliding window), so no drain may be reported
+        as fused."""
         service = DetectionService(ServeConfig(), autostart=False)
         client = ServeClient(service)
         streams = ["k0", "k1"]
         for stream in streams:
             assert client.create(
-                stream, spec="ae+sw+kswin", n_channels=2, config=CONFIG
+                stream, spec="ae+ures+kswin", n_channels=2, config=CONFIG
             )["ok"]
         values = [points(192, seed=20 + k) for k in range(len(streams))]
         results = pump_rounds(client, streams, values)
@@ -346,6 +347,39 @@ class TestFusedDrain:
         # The group did go through the fleet engine, all on its stock lane.
         (manifest,) = stats["fleets"].values()
         assert manifest["drains"] > 0 and manifest["fused_steps"] == 0
+
+    def test_default_config_fuses_kswin_group(self):
+        """At a default ``ServeConfig`` an ``ae+sw+kswin`` group takes the
+        KSWIN lane: it fuses, fine-tunes fused through drift, and stays
+        bitwise equal to offline ``run_stream``."""
+        service = DetectionService(ServeConfig(), autostart=False)
+        client = ServeClient(service)
+        streams = ["k0", "k1", "k2"]
+        values = [points(320, seed=30 + k) for k in range(len(streams))]
+        for series in values:
+            series[200:] = series[200:] * 3.0 + 2.0  # a drift all sessions see
+        config = dict(CONFIG, kswin_check_every=1)
+        for stream in streams:
+            assert client.create(
+                stream, spec="ae+sw+kswin", n_channels=2, config=config
+            )["ok"]
+        results = pump_rounds(client, streams, values)
+
+        counters = client.stats()["fleet"]["counters"]
+        assert counters["fused_drains"] > 0
+        assert counters["points_fused"] > 0
+        assert counters["finetunes_fused"] > 0
+        for stream, series in zip(streams, values):
+            offline = run_stream(
+                build_detector(
+                    AlgorithmSpec("ae", "sw", "kswin"), 2,
+                    DetectorConfig(**config),
+                ),
+                TimeSeries(values=series, labels=np.zeros(len(series), dtype=int)),
+                batch_size=1,
+            )
+            served = np.array([results[stream][i]["score"] for i in range(320)])
+            assert served.tobytes() == offline.scores.tobytes(), stream
 
 
 # ----------------------------------------------------------------------
