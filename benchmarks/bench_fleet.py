@@ -13,8 +13,10 @@ K separate ``step_chunk`` calls, at the serve-shaped micro-batch size
   firing sessions on the fused path.
 
 A serve-path section repeats the comparison through the full
-:class:`~repro.serve.DetectionService` with the fused drain on and off,
-so the engine-level speedup can be read against the end-to-end one.
+:class:`~repro.serve.DetectionService`: registry-built sessions (one
+spec fingerprint, so they drain as one fused group) against sessions
+opened from prebuilt detectors (no fleet key, so each drains alone), so
+the engine-level speedup can be read against the end-to-end one.
 
 Before any number is written, the fused outputs over the whole workload
 are asserted bitwise identical to the per-session reference — a fleet
@@ -167,7 +169,12 @@ def bench_engine(k_sessions, n_steps, repeats, drift_interval=None):
 
 
 def serve_rate(values, n_sessions, fused):
-    """End-to-end service throughput with the fused drain on or off."""
+    """End-to-end service throughput of fused groups or lone sessions.
+
+    ``fused`` sessions are registry-built and share a fleet key; the
+    per-session leg opens each from a prebuilt detector, which has no
+    fleet key and so drains alone.
+    """
     service = DetectionService(
         ServeConfig(
             default_spec="+".join(SPEC),
@@ -176,7 +183,6 @@ def serve_rate(values, n_sessions, fused):
             max_delay_ms=0.0,
             queue_limit=max(8 * MAX_BATCH, 256),
             result_limit=max(8 * MAX_BATCH, 1024),
-            fused_drain=fused,
             per_session_telemetry=False,
             detector=DetectorConfig(**CONFIG),
         ),
@@ -184,7 +190,12 @@ def serve_rate(values, n_sessions, fused):
     )
     streams = [f"fleet-{i}" for i in range(n_sessions)]
     for stream in streams:
-        service.create_session(stream, n_channels=N_CHANNELS)
+        detector = None
+        if not fused:
+            detector = build_detector(
+                AlgorithmSpec(*SPEC), N_CHANNELS, DetectorConfig(**CONFIG)
+            )
+        service.create_session(stream, n_channels=N_CHANNELS, detector=detector)
     slice_size = 4 * MAX_BATCH
     n = len(values)
     collected = {stream: 0 for stream in streams}

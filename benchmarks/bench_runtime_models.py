@@ -6,9 +6,9 @@ full detector step (representation + prediction + nonconformity + scoring
 + training-set update + drift check) per model.
 
 Also benchmarks the chunked streaming engine (``run_stream`` with
-``batch_size``) against both the legacy per-step loop and the engine's
-own ``batch_size=1`` sequential reference, asserting bitwise identity
-between the chunked and chunk=1 runs before any number is written.
+``batch_size``) against its ``batch_size=1`` sequential reference (what
+``detector.step`` runs), asserting bitwise identity between the chunked
+and chunk=1 runs before any number is written.
 Results land in ``BENCH_stream.json`` at the repo root.
 
 Run as a script (``python benchmarks/bench_runtime_models.py [--fast]``)
@@ -100,7 +100,7 @@ def _stream_fingerprint(result) -> tuple:
     )
 
 
-def _timed_run(spec: AlgorithmSpec, series, batch_size: int | None):
+def _timed_run(spec: AlgorithmSpec, series, batch_size: int):
     detector = build_detector(spec, series.n_channels, CONFIG)
     started = time.perf_counter()
     result = run_stream(detector, series, batch_size=batch_size)
@@ -108,20 +108,18 @@ def _timed_run(spec: AlgorithmSpec, series, batch_size: int | None):
 
 
 def bench_stream_combo(spec: AlgorithmSpec, series, repeats: int = 1) -> dict:
-    """legacy loop vs chunk=1 engine vs chunked engine for one algorithm.
+    """chunk=1 engine vs chunked engine for one algorithm.
 
     The identity assertion (chunked == chunk=1, bitwise, including events
     and drift steps) runs before any throughput number is reported.
     Timings take the best of ``repeats`` interleaved passes per variant,
     so a scheduling hiccup in one pass cannot skew a single ratio.
     """
-    legacy_seconds, _ = _timed_run(spec, series, None)
     chunk1_seconds, chunk1 = _timed_run(spec, series, 1)
     chunked_seconds, chunked = _timed_run(spec, series, STREAM_CHUNK)
     identical = _stream_fingerprint(chunk1) == _stream_fingerprint(chunked)
     assert identical, f"{spec.label}: chunked run diverged from chunk=1"
     for _ in range(repeats - 1):
-        legacy_seconds = min(legacy_seconds, _timed_run(spec, series, None)[0])
         chunk1_seconds = min(chunk1_seconds, _timed_run(spec, series, 1)[0])
         chunked_seconds = min(
             chunked_seconds, _timed_run(spec, series, STREAM_CHUNK)[0]
@@ -131,12 +129,10 @@ def bench_stream_combo(spec: AlgorithmSpec, series, repeats: int = 1) -> dict:
         "algorithm": spec.label,
         "n_steps": n,
         "steps_per_second": {
-            "legacy_loop": n / legacy_seconds,
             "engine_chunk1": n / chunk1_seconds,
             f"engine_chunk{STREAM_CHUNK}": n / chunked_seconds,
         },
         "speedup_vs_chunk1": chunk1_seconds / chunked_seconds,
-        "speedup_vs_legacy": legacy_seconds / chunked_seconds,
         "bitwise_identical": identical,
     }
 

@@ -114,86 +114,20 @@ class StreamingAnomalyDetector:
     def step(self, s: StreamVector) -> StepResult:
         """Process one stream vector and return the step's scores.
 
-        Steps taken before the representation buffer is warm or before the
-        initial model fit return zero scores (the warm-up region).
+        A one-row :meth:`step_chunk`, so a ``step`` loop and any chunking
+        of the same stream are one computation.  Steps taken before the
+        representation buffer is warm or before the initial model fit
+        return zero scores (the warm-up region).
         """
-        self.t += 1
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if self.n_channels is None:
-            self.n_channels = s.size
-        elif s.size != self.n_channels:
-            raise StreamError(
-                f"stream vector at t={self.t} has {s.size} channels, "
-                f"expected {self.n_channels}"
-            )
-        if not np.all(np.isfinite(s)):
-            raise StreamError(f"stream vector at t={self.t} contains non-finite values")
-
-        tel = self.telemetry
-        trace = tel.enabled
-        if trace:
-            tel.count("steps")
-            t0 = perf_counter()
-        x = self.buffer.push(s)
-        if trace:
-            tel.add_time("represent", perf_counter() - t0)
-        if x is None:
-            return StepResult(t=self.t, nonconformity=0.0, score=0.0)
-
-        # Nonconformity + anomaly score (zero until the model exists).
-        if self.model.is_fitted:
-            if trace:
-                t0 = perf_counter()
-            a = float(self.nonconformity(x, self.model))
-            if trace:
-                t1 = perf_counter()
-                tel.add_time("nonconformity", t1 - t0)
-            f = float(self.scorer.update(a))
-            if trace:
-                tel.add_time("score", perf_counter() - t1)
-            if self.first_scored_step is None:
-                self.first_scored_step = self.t
-        else:
-            a = 0.0
-            f = 0.0
-
-        # Task 1: maintain the training set (ARES consumes f_t).
-        if trace:
-            t0 = perf_counter()
-        update = self.train_strategy.update(x, score=f)
-        self.drift_detector.observe(update, self.t)
-        if trace:
-            tel.add_time("task1-update", perf_counter() - t0)
-
-        drift = False
-        finetuned = False
-        if not self.model.is_fitted:
-            if self.min_train_size > self.train_strategy.capacity:
-                self._initial_buffer.append(x)
-                ready = len(self._initial_buffer) >= self.min_train_size
-            else:
-                ready = len(self.train_strategy) >= self.min_train_size
-            if ready:
-                self._initial_fit()
-                finetuned = True
-        else:
-            if trace:
-                t0 = perf_counter()
-            train_set = self.train_strategy.training_set()
-            fire = self.drift_detector.should_finetune(self.t, train_set)
-            if trace:
-                tel.add_time("task2-check", perf_counter() - t0)
-            if fire:
-                drift = True
-                finetuned = True
-                tel.count("drift_fires")
-                self._finetune(train_set)
+        a, f, drift, fine = self.step_chunk(
+            np.asarray(s, dtype=np.float64).reshape(1, -1)
+        )
         return StepResult(
             t=self.t,
-            nonconformity=a,
-            score=f,
-            drift_detected=drift,
-            finetuned=finetuned,
+            nonconformity=float(a[0]),
+            score=float(f[0]),
+            drift_detected=bool(drift[0]),
+            finetuned=bool(fine[0]),
         )
 
     def warm_up(self, values: np.ndarray, batch_size: int = 256) -> None:
@@ -285,45 +219,18 @@ class StreamingAnomalyDetector:
         """Run the segment loop over already-pushed windows.
 
         Factored out of :meth:`step_chunk` so the fleet engine can route
-        a diverging session (one whose block contains a fine-tune) back
-        through the exact per-session machinery after the windows were
-        pushed by the fused path.
+        a session back through the per-session machinery after the
+        windows were pushed by the fused path.
         """
-        tel = self.telemetry
-        trace = tel.enabled
         i = n_cold
         while i < n_steps:
-            if not self.model.is_fitted:
-                self._prefit_step(windows[i - n_cold], fine_out, i)
-                i += 1
-                continue
-            seg_windows = windows[i - n_cold :]
-            if trace:
-                t0 = perf_counter()
-            precursors = self.nonconformity.precompute(seg_windows, self.model)
-            if trace:
-                tel.add_time("predict", perf_counter() - t0)
-            if precursors is None:
-                # No batched path for this measure/model: run the exact
-                # per-step sequence (keeps arbitrary statefulness intact).
-                if trace:
-                    tel.count("fallback_steps", len(seg_windows))
-                    tel.event(
-                        "fallback_to_step", t=self.t + 1, n_steps=len(seg_windows)
-                    )
-                i = self._sequential_segment(
-                    seg_windows, i, a_out, f_out, drift_out, fine_out
+            if self.model.is_fitted:
+                i += self._segment(
+                    windows[i - n_cold :], i, a_out, f_out, drift_out, fine_out
                 )
             else:
-                i += self._speculative_segment(
-                    seg_windows,
-                    precursors,
-                    i,
-                    a_out,
-                    f_out,
-                    drift_out,
-                    fine_out,
-                )
+                self._prefit_step(windows[i - n_cold], fine_out, i)
+                i += 1
 
     def _prefit_step(
         self, window: np.ndarray, fine_out: np.ndarray, i: int
@@ -342,100 +249,63 @@ class StreamingAnomalyDetector:
             self._initial_fit()
             fine_out[i] = True
 
-    def _segment_train_set(self) -> np.ndarray:
-        # Materializing the training set is an ``np.stack`` over the whole
-        # Task-1 buffer; skip it for detectors that decide without it.
-        if self.drift_detector.needs_train_set:
-            return self.train_strategy.training_set()
-        return NO_TRAIN_SET
-
-    def _sequential_segment(
+    def _segment(
         self,
-        seg_windows: np.ndarray,
+        windows: np.ndarray,
         i: int,
         a_out: np.ndarray,
         f_out: np.ndarray,
         drift_out: np.ndarray,
         fine_out: np.ndarray,
     ) -> int:
-        """Fallback: every step through the live model, in stream order.
+        """Score ``windows`` under frozen ``theta``, replay, roll back.
 
-        A fine-tune needs no rollback here — nothing was speculated —
-        so the whole segment completes in one pass.
-        """
-        tel = self.telemetry
-        trace = tel.enabled
-        for k in range(len(seg_windows)):
-            self.t += 1
-            x = np.array(seg_windows[k])
-            if trace:
-                t0 = perf_counter()
-            a = float(self.nonconformity(x, self.model))
-            if trace:
-                t1 = perf_counter()
-                tel.add_time("nonconformity", t1 - t0)
-            f = float(self.scorer.update(a))
-            if trace:
-                t0 = perf_counter()
-                tel.add_time("score", t0 - t1)
-            if self.first_scored_step is None:
-                self.first_scored_step = self.t
-            update = self.train_strategy.update(x, score=f)
-            self.drift_detector.observe(update, self.t)
-            if trace:
-                t1 = perf_counter()
-                tel.add_time("task1-update", t1 - t0)
-            a_out[i + k] = a
-            f_out[i + k] = f
-            train_set = self._segment_train_set()
-            fire = self.drift_detector.should_finetune(self.t, train_set)
-            if trace:
-                tel.add_time("task2-check", perf_counter() - t1)
-            if fire:
-                drift_out[i + k] = True
-                fine_out[i + k] = True
-                tel.count("drift_fires")
-                if not self.drift_detector.needs_train_set:
-                    train_set = self.train_strategy.training_set()
-                self._finetune(train_set)
-        return i + len(seg_windows)
+        The segment speculates that every row shares the current
+        ``theta``: one batched ``precompute``, the measure folds and one
+        scorer fold, then the per-step Task-1 update → observe →
+        ``should_finetune`` → fine-tune replay.  A fine-tune before the
+        last row rewinds the measure and scorer to the segment start and
+        re-folds the committed prefix.  A one-row segment has nothing to
+        rewind, so it takes no snapshot and folds through
+        ``scorer.update`` (``update_batch`` is documented bit-identical
+        to looping it).  A measure with no batched path (``precompute``
+        returns ``None``) takes one-row segments through
+        ``consume(None, ...)``, i.e. the measure's exact per-step call on
+        the live model.
 
-    def _speculative_segment(
-        self,
-        seg_windows: np.ndarray,
-        precursors: np.ndarray,
-        i: int,
-        a_out: np.ndarray,
-        f_out: np.ndarray,
-        drift_out: np.ndarray,
-        fine_out: np.ndarray,
-    ) -> int:
-        """Score a whole segment under frozen ``theta``, replay, roll back.
-
-        Returns the number of steps committed; fewer than the segment
+        Returns the number of rows committed; fewer than the segment
         length means a fine-tune invalidated the speculation and the
-        caller must recompute the remainder under the new parameters.
+        caller recomputes the remainder under the new parameters.
         """
-        n_seg = len(seg_windows)
-        if n_seg == 1:
-            return self._speculative_single(
-                seg_windows, precursors, i, a_out, f_out, drift_out, fine_out
-            )
         tel = self.telemetry
         trace = tel.enabled
         if trace:
             t0 = perf_counter()
-        measure_state = self.nonconformity.snapshot(self.model)
+        precursors = self.nonconformity.precompute(windows, self.model)
+        if trace:
+            tel.add_time("predict", perf_counter() - t0)
+        if precursors is None:
+            windows = windows[:1]
+            if trace:
+                tel.count("fallback_steps")
+        n_seg = len(windows)
+        if trace:
+            t0 = perf_counter()
+        if n_seg > 1:
+            measure_state = self.nonconformity.snapshot(self.model)
         a_seg = np.empty(n_seg, dtype=np.float64)
         for k in range(n_seg):
             a_seg[k] = self.nonconformity.consume(
-                precursors, k, seg_windows[k], self.model
+                precursors, k, windows[k], self.model
             )
         if trace:
             t1 = perf_counter()
             tel.add_time("nonconformity", t1 - t0, calls=n_seg)
-        scorer_state = self.scorer.snapshot()
-        f_seg = self.scorer.update_batch(a_seg)
+        if n_seg > 1:
+            scorer_state = self.scorer.snapshot()
+            f_seg = self.scorer.update_batch(a_seg)
+        else:
+            f_seg = (self.scorer.update(float(a_seg[0])),)
         if trace:
             tel.add_time("score", perf_counter() - t1, calls=n_seg)
 
@@ -443,7 +313,7 @@ class StreamingAnomalyDetector:
             self.t += 1
             if self.first_scored_step is None:
                 self.first_scored_step = self.t
-            x = np.array(seg_windows[k])
+            x = np.array(windows[k])
             if trace:
                 t0 = perf_counter()
             update = self.train_strategy.update(x, score=float(f_seg[k]))
@@ -453,92 +323,45 @@ class StreamingAnomalyDetector:
                 tel.add_time("task1-update", t1 - t0)
             a_out[i + k] = a_seg[k]
             f_out[i + k] = f_seg[k]
-            train_set = self._segment_train_set()
+            # Materializing the training set is an ``np.stack`` over the
+            # whole Task-1 buffer; skip it for detectors that decide
+            # without it.
+            train_set = (
+                self.train_strategy.training_set()
+                if self.drift_detector.needs_train_set
+                else NO_TRAIN_SET
+            )
             fire = self.drift_detector.should_finetune(self.t, train_set)
             if trace:
                 tel.add_time("task2-check", perf_counter() - t1)
-            if fire:
-                drift_out[i + k] = True
-                fine_out[i + k] = True
-                tel.count("drift_fires")
-                if not self.drift_detector.needs_train_set:
-                    train_set = self.train_strategy.training_set()
-                if k + 1 < n_seg:
-                    tel.count("chunk_rollbacks")
-                    tel.event(
-                        "chunk_rollback",
-                        t=self.t,
-                        committed=k + 1,
-                        discarded=n_seg - (k + 1),
-                    )
-                    # Rewind measure and scorer to the segment start and
-                    # re-fold only the committed prefix, so their state
-                    # reflects exactly the steps up to the fine-tune.
-                    self.nonconformity.restore(measure_state, self.model)
-                    for prefix_k in range(k + 1):
-                        self.nonconformity.consume(
-                            precursors, prefix_k, seg_windows[prefix_k], self.model
-                        )
-                    self.scorer.restore(scorer_state)
-                    self.scorer.update_batch(a_seg[: k + 1])
-                self._finetune(train_set)
-                return k + 1
-        return n_seg
-
-    def _speculative_single(
-        self,
-        seg_windows: np.ndarray,
-        precursors: np.ndarray,
-        i: int,
-        a_out: np.ndarray,
-        f_out: np.ndarray,
-        drift_out: np.ndarray,
-        fine_out: np.ndarray,
-    ) -> int:
-        """One-step segment: a fine-tune at the only step needs no
-        rollback, so the measure/scorer snapshots and batch plumbing are
-        skipped (``update_batch`` is documented bit-identical to looping
-        ``update``).  This is the hot path for chunk size 1 and for
-        chunked streams right after a fine-tune.
-        """
-        tel = self.telemetry
-        trace = tel.enabled
-        if trace:
-            t0 = perf_counter()
-        a = float(
-            self.nonconformity.consume(precursors, 0, seg_windows[0], self.model)
-        )
-        if trace:
-            t1 = perf_counter()
-            tel.add_time("nonconformity", t1 - t0, calls=1)
-        f = float(self.scorer.update(a))
-        if trace:
-            tel.add_time("score", perf_counter() - t1, calls=1)
-        self.t += 1
-        if self.first_scored_step is None:
-            self.first_scored_step = self.t
-        x = np.array(seg_windows[0])
-        if trace:
-            t0 = perf_counter()
-        update = self.train_strategy.update(x, score=f)
-        self.drift_detector.observe(update, self.t)
-        if trace:
-            t1 = perf_counter()
-            tel.add_time("task1-update", t1 - t0)
-        a_out[i] = a
-        f_out[i] = f
-        train_set = self._segment_train_set()
-        fire = self.drift_detector.should_finetune(self.t, train_set)
-        if trace:
-            tel.add_time("task2-check", perf_counter() - t1)
-        if fire:
-            drift_out[i] = True
-            fine_out[i] = True
+            if not fire:
+                continue
+            drift_out[i + k] = True
+            fine_out[i + k] = True
             tel.count("drift_fires")
             if not self.drift_detector.needs_train_set:
                 train_set = self.train_strategy.training_set()
+            if k + 1 < n_seg:
+                tel.count("chunk_rollbacks")
+                tel.event(
+                    "chunk_rollback",
+                    t=self.t,
+                    committed=k + 1,
+                    discarded=n_seg - (k + 1),
+                )
+                # Rewind measure and scorer to the segment start and
+                # re-fold only the committed prefix, so their state
+                # reflects exactly the steps up to the fine-tune.
+                self.nonconformity.restore(measure_state, self.model)
+                for prefix_k in range(k + 1):
+                    self.nonconformity.consume(
+                        precursors, prefix_k, windows[prefix_k], self.model
+                    )
+                self.scorer.restore(scorer_state)
+                self.scorer.update_batch(a_seg[: k + 1])
             self._finetune(train_set)
-        return 1
+            return k + 1
+        return n_seg
 
     # ------------------------------------------------------------------
     def _initial_fit(self) -> None:
@@ -573,6 +396,17 @@ class StreamingAnomalyDetector:
         with self.telemetry.span("fine-tune"):
             loss_before = self.model.loss(train_set)
             loss_after = self.model.finetune(train_set, epochs=self.finetune_epochs)
+        self._record_finetune(train_set, loss_before, loss_after)
+
+    def _record_finetune(
+        self, train_set: np.ndarray, loss_before: float, loss_after: float
+    ) -> None:
+        """Book a fine-tune on ``train_set`` that just ran at ``self.t``.
+
+        Shared by :meth:`_finetune` and the fleet engine's fused
+        fine-tunes: the drift reference reset, the ``finetunes`` counter,
+        the ``finetune`` event and the :class:`FineTuneEvent`.
+        """
         self.drift_detector.notify_finetuned(self.t, train_set)
         self.telemetry.count("finetunes")
         self.telemetry.event(

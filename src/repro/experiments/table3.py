@@ -68,8 +68,8 @@ class Table3Config:
     #: curve implementation for the threshold-swept metrics: ``"sweep"``
     #: (one sort, all thresholds) or ``"reference"`` (per-threshold loop).
     metrics_backend: str = "sweep"
-    #: stream block size for the chunked engine (``None`` = per-step loop).
-    stream_chunk: int | None = None
+    #: ``step_chunk`` block size per stream (bitwise invariant to it).
+    stream_chunk: int = 1
     detector: DetectorConfig = field(
         default_factory=lambda: DetectorConfig(
             window=24,

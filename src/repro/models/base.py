@@ -118,7 +118,7 @@ class MinMaxScaler:
 #: padding waste; large blocks trade some BLAS efficiency for that
 #: (batched row-slices instead of one big GEMM), which profiling shows
 #: keeps the chunked engine comfortably above its speedup bar while
-#: letting chunk=1 match the legacy per-step loop.
+#: keeping chunk=1 (what ``detector.step`` runs) free of padding.
 BATCH_TILE = 1
 
 

@@ -2,7 +2,7 @@
 
 The streaming engine is instrumented with a :class:`Telemetry` object that
 accounts for *what the detector did* (steps, fine-tunes, drift fires,
-speculative rollbacks, fallback-to-step segments) and *where the time
+speculative rollbacks, per-step fallback rows) and *where the time
 went* (span timers over the framework stages of the per-step loop:
 ``represent`` / ``predict`` / ``nonconformity`` / ``score`` /
 ``task1-update`` / ``task2-check`` / ``fine-tune``).  This is the
@@ -92,8 +92,8 @@ CORE_COUNTERS = (
     "wal_swaps",
 )
 
-#: Span keys recorded by the detector's per-step loop (the chunked engine
-#: records the same stages at chunk granularity).  Experiment harnesses
+#: Span keys the detector records for the stages of its per-step loop
+#: (batched stages are timed per block or segment).  Experiment harnesses
 #: additionally record coarse phases under a ``stage:`` prefix.
 CORE_SPANS = (
     "represent",

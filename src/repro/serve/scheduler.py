@@ -20,16 +20,19 @@ unbounded latency or memory:
 - **Fairness.**  The drain pass visits sessions round-robin, at most one
   micro-batch per session per pass, so a firehose stream cannot starve a
   trickle stream.
-- **Fusion.**  Due sessions sharing a spec fingerprint
+- **Fusion.**  Every drain is one
+  :class:`~repro.streaming.fleet.FleetEngine` call.  Due sessions
+  sharing a spec fingerprint
   (:attr:`~repro.serve.session.DetectorSession.fleet_key`) are drained
-  together through one :class:`~repro.streaming.fleet.FleetEngine`
-  call — K same-spec micro-batches become a handful of session-axis
+  together — K same-spec micro-batches become a handful of session-axis
   batched kernels instead of K small ones.  The engine (and its weight
   arena) is cached per group and reused while the membership is stable,
-  so steady-state drains pay no re-stacking cost.  Sessions whose
-  drift strategy fires mid-drain stay grouped: the engine runs their
-  fine-tunes fused (session-axis training kernels) and resumes fused
-  scoring, so drift-heavy fleets keep a high ``fused_fraction``.
+  so steady-state drains pay no re-stacking cost.  A lone session drains
+  through a one-member engine, which the engine's ``min_fleet`` bypass
+  steps per session.  Sessions whose drift strategy fires mid-drain stay
+  grouped: the engine runs their fine-tunes fused (session-axis training
+  kernels) and resumes fused scoring, so drift-heavy fleets keep a high
+  ``fused_fraction``.
 
 All scheduling decisions change only *when* points are scored, never
 *what* is computed — the chunked engine's bitwise invariance to block
@@ -91,19 +94,12 @@ class SchedulerConfig:
         queue_limit: per-session ingest-queue bound (backpressure).
         result_limit: per-session scored-result bound; a full buffer
             pauses draining for that session until the client collects.
-        fused_drain: drain same-spec session groups through one
-            :class:`~repro.streaming.fleet.FleetEngine` call (bitwise
-            neutral; disable to force the per-session path).
-        min_fleet: smallest due group worth a fused call; below it the
-            per-session path is used.
     """
 
     max_batch: int = 64
     max_delay_ms: float = 25.0
     queue_limit: int = 512
     result_limit: int = 8192
-    fused_drain: bool = True
-    min_fleet: int = 2
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -115,10 +111,6 @@ class SchedulerConfig:
         if self.queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"
-            )
-        if self.min_fleet < 2:
-            raise ConfigurationError(
-                f"min_fleet must be >= 2, got {self.min_fleet}"
             )
         if self.result_limit < self.max_batch:
             raise ConfigurationError(
@@ -240,30 +232,6 @@ class MicroBatchScheduler:
             and session.oldest_wait(now) * 1000.0 >= self.config.max_delay_ms
         )
 
-    def _flush_batch(self, session: DetectorSession) -> int:
-        """One micro-batch for one session, respecting the result bound."""
-        with session.lock:
-            if session.queue_depth == 0:
-                return 0
-            room = self.config.result_limit - session.n_results
-            if room <= 0:
-                self.telemetry.count("drain_blocked")
-                return 0
-            if not session.hydrated:
-                self.store.rehydrate(session)
-            prepared = session.flush_prepare(min(self.config.max_batch, room))
-            if prepared is None:
-                return 0
-            seqs, waits, block = prepared
-            result = session.detector.step_chunk(block)
-            scored = session.flush_finish(seqs, waits, result)
-            self._run_selection(session, block, result)
-            self._maybe_barrier(session)
-        if scored:
-            self.telemetry.count("points_scored", scored)
-            self.telemetry.count("batches_flushed")
-        return scored
-
     def _run_selection(self, session: DetectorSession, block, result) -> None:
         """Shadow-score the block and apply a promotion if one fired.
 
@@ -290,27 +258,34 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # fused draining
     # ------------------------------------------------------------------
-    def _fleet_engine(self, key: tuple, sessions: list[DetectorSession]) -> FleetEngine:
-        """Cached :class:`FleetEngine` for a stable same-spec group."""
+    def _fleet_engine(self, sessions: list[DetectorSession]) -> FleetEngine:
+        """The :class:`FleetEngine` for one drain over ``sessions``.
+
+        A same-spec group reuses its cached engine while the membership
+        is stable.  An engine below ``min_fleet`` (a lone session) is
+        built per drain and not cached: it has no arena to keep, and a
+        ``score`` flush between pumps must not evict the group's engine.
+        """
+        key = sessions[0].fleet_key
         ids = tuple(id(session.detector) for session in sessions)
         cached = self._fleets.get(key)
         if cached is not None and cached[0] == ids:
             return cached[1]
         engine = FleetEngine(
-            [session.detector for session in sessions],
-            min_fleet=self.config.min_fleet,
-            telemetry=self.telemetry,
+            [session.detector for session in sessions], telemetry=self.telemetry
         )
-        self._fleets[key] = (ids, engine, list(sessions))
+        if len(sessions) >= engine.min_fleet:
+            self._fleets[key] = (ids, engine, list(sessions))
         return engine
 
-    def _flush_group(self, key: tuple, members: list[DetectorSession]) -> int:
-        """One micro-batch for a same-spec group, through the fleet engine.
+    def _drain(self, members: list[DetectorSession]) -> int:
+        """One micro-batch per member, through one fleet-engine call.
 
-        Bitwise neutral versus draining each member with
-        :meth:`_flush_batch`: the fleet engine is pinned to per-session
-        ``step_chunk`` (``tests/test_fleet.py``), and sessions it cannot
-        fuse fall through to their own engine inside the call.
+        The scheduler's only drain: a same-spec group, a lone due session
+        and :meth:`flush_session` all come through here.  Bitwise neutral
+        — the fleet engine is pinned to per-session ``step_chunk``
+        (``tests/test_fleet.py``), and members it cannot fuse step
+        through their own engine inside the call.
         """
         # Sorted lock order keeps concurrent group flushes deadlock-free.
         members = sorted(members, key=lambda s: s.stream_id)
@@ -339,39 +314,28 @@ class MicroBatchScheduler:
                     prepared.append((session, batch))
             if not prepared:
                 return 0
-            if len(prepared) < self.config.min_fleet:
-                for session, (seqs, waits, block) in prepared:
-                    result = session.detector.step_chunk(block)
-                    scored += session.flush_finish(seqs, waits, result)
-                    self._run_selection(session, block, result)
-                    self.telemetry.count("batches_flushed")
-            else:
-                engine = self._fleet_engine(key, [s for s, _ in prepared])
-                fused_before = engine.fused_steps
-                finetunes_before = engine.finetunes_fused
-                points_training_before = engine.points_fused_training
-                results = engine.step_chunk(
-                    [batch[2] for _, batch in prepared]
+            engine = self._fleet_engine([s for s, _ in prepared])
+            fused_before = engine.fused_steps
+            finetunes_before = engine.finetunes_fused
+            points_training_before = engine.points_fused_training
+            results = engine.step_chunk([batch[2] for _, batch in prepared])
+            for (session, (seqs, waits, block)), result in zip(prepared, results):
+                scored += session.flush_finish(seqs, waits, result)
+                self._run_selection(session, block, result)
+                self.telemetry.count("batches_flushed")
+            # A drain counts as fused only if the engine fused a row
+            # (a uRES group, say, drains entirely on the stock lane).
+            fused = engine.fused_steps - fused_before
+            if fused:
+                self.telemetry.count("fused_drains")
+                self.telemetry.count("points_fused", fused)
+            finetunes = engine.finetunes_fused - finetunes_before
+            if finetunes:
+                self.telemetry.count("finetunes_fused", finetunes)
+                self.telemetry.count(
+                    "points_fused_training",
+                    engine.points_fused_training - points_training_before,
                 )
-                for (session, (seqs, waits, block)), result in zip(
-                    prepared, results
-                ):
-                    scored += session.flush_finish(seqs, waits, result)
-                    self._run_selection(session, block, result)
-                    self.telemetry.count("batches_flushed")
-                # A drain counts as fused only if the engine fused a row
-                # (a KSWIN group, say, drains entirely on the stock lane).
-                fused = engine.fused_steps - fused_before
-                if fused:
-                    self.telemetry.count("fused_drains")
-                    self.telemetry.count("points_fused", fused)
-                finetunes = engine.finetunes_fused - finetunes_before
-                if finetunes:
-                    self.telemetry.count("finetunes_fused", finetunes)
-                    self.telemetry.count(
-                        "points_fused_training",
-                        engine.points_fused_training - points_training_before,
-                    )
             for session, _ in prepared:
                 self._maybe_barrier(session)
         if scored:
@@ -413,7 +377,7 @@ class MicroBatchScheduler:
         verb's flush), stopping early only if its result buffer fills."""
         total = 0
         while True:
-            scored = self._flush_batch(session)
+            scored = self._drain([session])
             if scored == 0:
                 return total
             total += scored
@@ -422,11 +386,10 @@ class MicroBatchScheduler:
         """One fair drain pass: each due session gets one micro-batch.
 
         Due sessions sharing a :attr:`fleet_key` are drained together
-        through the fused group path (when ``fused_drain`` is on and the
-        group reaches ``min_fleet``); the rest get the per-session path.
-        Returns the number of points scored; callers loop while it makes
-        progress.  Visiting order rotates so the pass after a long batch
-        resumes with the *next* session, not the same one.
+        through one fused group call; every other due session drains
+        alone.  Returns the number of points scored; callers loop while
+        it makes progress.  Visiting order rotates so the pass after a
+        long batch resumes with the *next* session, not the same one.
         """
         now = now if now is not None else self._clock()
         sessions = self.store.sessions()
@@ -436,35 +399,26 @@ class MicroBatchScheduler:
         start = 0
         if self._rr_last in ids:
             start = (ids.index(self._rr_last) + 1) % len(sessions)
-        due = [
-            sessions[(start + offset) % len(sessions)]
-            for offset in range(len(sessions))
-            if self._due(sessions[(start + offset) % len(sessions)], now)
-        ]
-        scored = 0
-        grouped: set[str] = set()
-        if self.config.fused_drain:
-            groups: dict[tuple, list[DetectorSession]] = {}
-            for session in due:
-                # Racing sessions are pinned (non-evictable) but their
-                # champions still join fused drains — the fleet key is
-                # the champion's, and shadow lanes run per-session after
-                # the fused flush.
-                if session.fleet_key is not None and (
-                    session.evictable or session.race is not None
-                ):
-                    groups.setdefault(session.fleet_key, []).append(session)
-            for key, members in groups.items():
-                if len(members) < self.config.min_fleet:
-                    continue
-                grouped.update(member.stream_id for member in members)
-                scored += self._flush_group(key, members)
-        for session in due:
-            if session.stream_id in grouped:
+        groups: dict[Any, list[DetectorSession]] = {}
+        for offset in range(len(sessions)):
+            session = sessions[(start + offset) % len(sessions)]
+            if not self._due(session, now):
                 continue
-            n = self._flush_batch(session)
+            # Racing sessions are pinned (non-evictable) but their
+            # champions still join fused drains — the fleet key is the
+            # champion's, and shadow lanes run per-session after the
+            # fused flush.
+            if session.fleet_key is not None and (
+                session.evictable or session.race is not None
+            ):
+                groups.setdefault(session.fleet_key, []).append(session)
+            else:
+                groups[session.stream_id] = [session]
+        scored = 0
+        for members in groups.values():
+            n = self._drain(members)
             if n:
-                self._rr_last = session.stream_id
+                self._rr_last = members[-1].stream_id
                 scored += n
         return scored
 

@@ -93,9 +93,8 @@ class ServeConfig:
             temporary directory per service).
         max_batch / max_delay_ms / queue_limit / result_limit: micro-
             batching and backpressure knobs (:class:`SchedulerConfig`).
-        fused_drain / min_fleet: same-spec fused-drain knobs
-            (:class:`SchedulerConfig`); fusion is bitwise neutral, the
-            switch exists for A/B benchmarking and incident bisection.
+            Every drain goes through the fused fleet engine; fusion is
+            bitwise neutral, so it has no switch.
         idle_timeout_s: when set, sessions idle this long are spilled
             even below the capacity bound (a memory-release sweep run by
             the drain loop).
@@ -134,8 +133,6 @@ class ServeConfig:
     max_delay_ms: float = 25.0
     queue_limit: int = 512
     result_limit: int = 8192
-    fused_drain: bool = True
-    min_fleet: int = 2
     idle_timeout_s: float | None = None
     per_session_telemetry: bool = True
     detector: DetectorConfig = field(default_factory=DetectorConfig)
@@ -214,8 +211,6 @@ class DetectionService:
                 max_delay_ms=self.config.max_delay_ms,
                 queue_limit=self.config.queue_limit,
                 result_limit=self.config.result_limit,
-                fused_drain=self.config.fused_drain,
-                min_fleet=self.config.min_fleet,
             ),
             telemetry=self.telemetry,
         )
@@ -326,7 +321,7 @@ class DetectionService:
                     "resume and a prebuilt detector are mutually exclusive"
                 )
             spec_label = spec if spec is not None else "custom"
-            fleet_key = None  # custom detectors stay on the per-session path
+            fleet_key = None  # custom detectors drain alone
             detector_config = None  # not rebuildable: no WAL for this session
         session_telemetry = (
             Telemetry(max_events=64) if self.config.per_session_telemetry else None

@@ -88,8 +88,8 @@ class DetectorSession:
         #: ingest→scored wait time per point, for p50/p99 in ``stats``.
         self.latency = LatencyReservoir()
         #: same-spec grouping key for the fused drain path; ``None``
-        #: keeps the session on the per-session path (custom detectors,
-        #: or specs the service could not fingerprint).
+        #: makes the session drain alone (custom detectors, or specs the
+        #: service could not fingerprint).
         self.fleet_key: tuple | None = None
 
         #: spill bookkeeping, maintained by the session store.

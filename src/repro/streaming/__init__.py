@@ -18,7 +18,7 @@ from repro.streaming.parallel import (
     build_cells,
     derive_cell_seed,
 )
-from repro.streaming.runner import StreamResult, run_fleet, run_stream
+from repro.streaming.runner import StreamResult, run_stream
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -35,7 +35,6 @@ __all__ = [
     "load_detector",
     "peek_checkpoint",
     "run_corpus",
-    "run_fleet",
     "run_stream",
     "save_detector",
     "transfer_checkpoint",

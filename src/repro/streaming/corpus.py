@@ -41,7 +41,7 @@ def run_corpus(
     progress: bool = False,
     progress_every: int | None = None,
     n_jobs: int | None = None,
-    batch_size: int | None = None,
+    batch_size: int = 1,
     telemetry: Telemetry | None = None,
 ) -> CorpusResult:
     """Stream every series through a fresh detector from ``factory``.
@@ -66,8 +66,8 @@ def run_corpus(
             pickled (Linux; other platforms fall back to sequential).
             Scores are bitwise-identical to a sequential run.
         batch_size: forwarded to :func:`run_stream` — stream each series
-            through the chunked engine in blocks of this many steps
-            (``None`` keeps the per-step reference loop).
+            in blocks of this many steps (results are bitwise invariant
+            to it).
         telemetry: when given, accumulates counters/spans/events across
             the whole corpus.  Sequential runs attach it to every
             detector directly; parallel runs trace inside the workers

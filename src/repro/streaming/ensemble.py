@@ -94,11 +94,10 @@ class EnsembleDetector:
     def step(self, s: StreamVector) -> StepResult:
         """Feed one stream vector to every member; return the fused result.
 
-        Routed through the members' chunked engines as a single-row
-        block, so a ``step`` loop and one :meth:`step_chunk` call are
-        the same computation — the ensemble has a single scoring path
-        whichever way it is driven (the engine's legacy per-step loop is
-        a separately-kept reference and is not used here).
+        A one-row :meth:`step_chunk`, as
+        :meth:`StreamingAnomalyDetector.step` is, so a ``step`` loop and
+        one :meth:`step_chunk` call are the same computation — the
+        ensemble has a single scoring path whichever way it is driven.
         """
         a, f, drift, fine = self.step_chunk(np.asarray(s, dtype=np.float64))
         return StepResult(

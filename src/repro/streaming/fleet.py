@@ -34,9 +34,9 @@ per-step cost in Python/numpy dispatch overhead repeated K times.  The
   trainer) run the stock per-session engine — their state was never
   touched, so no rollback is needed — and rejoin the fleet at the next
   drain automatically;
-- fleets below ``min_fleet`` sessions bypass the fused machinery
-  entirely: with nothing to batch over, the session-axis stacking only
-  adds overhead, so the drain routes straight to the per-session engine;
+- in a fleet below ``min_fleet`` sessions every member is ineligible:
+  with nothing to batch over, the session-axis stacking only adds
+  overhead, so the drain routes straight to the per-session engine;
 - traced members stay fused: the engine records each member's
   per-session telemetry itself (``steps``, the framework stage spans,
   fine-tune counters and events), timing each stage once per round and
@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.core.detector import StreamingAnomalyDetector
 from repro.core.representation import WindowRepresentation
-from repro.core.types import FineTuneEvent
 from repro.learning.drift import (
     MuSigmaChange,
     MuSigmaLane,
@@ -237,9 +236,11 @@ class FleetEngine:
             spec; members that do not (or that are in a non-fusable
             state) are transparently stepped through their own
             per-session engine.
-        min_fleet: fleets smaller than this bypass the fused machinery
-            and drain per session (BENCH_fleet.json showed the fused
-            path ~0.7x at K=1: stacking overhead with nothing to batch).
+        min_fleet: in a fleet smaller than this every member is
+            ineligible, so it drains per session (BENCH_fleet.json showed
+            the fused path ~0.7x at K=1: stacking overhead with nothing
+            to batch).  The serve scheduler drains a lone session through
+            a one-member engine, so this is the only K=1 bypass.
         telemetry: engine-level sink; only used for the
             ``stage:finetune_fused`` span.  Member detectors keep their
             own telemetry: traced members fuse like untraced ones, and
@@ -295,24 +296,18 @@ class FleetEngine:
         results: list[BlockResult | None] = [None] * len(self.detectors)
         self.last_drain = {"fused": [], "dirty": [], "stock": []}
 
-        if len(self.detectors) < self.min_fleet:
-            # Below break-even fleet size the session-axis stacking only
-            # adds overhead; drain straight through the per-session engine.
-            self.bypassed_drains += 1
-            for k, raw in enumerate(blocks):
-                block = np.atleast_2d(np.asarray(raw, dtype=np.float64))
-                self.last_drain["stock"].append(k)
-                self.stock_steps += len(block)
-                results[k] = self.detectors[k].step_chunk(raw)
-            return results  # type: ignore[return-value]
-
         # Pass 1: static eligibility + fleet uniformity (no state touched).
+        # Below ``min_fleet`` every member is ineligible: with nothing to
+        # batch over, the session-axis stacking only adds overhead.
+        bypass = len(self.detectors) < self.min_fleet
+        if bypass:
+            self.bypassed_drains += 1
         candidates: list[tuple[int, np.ndarray]] = []
         reference: StreamingAnomalyDetector | None = None
         for k, raw in enumerate(blocks):
             block = np.atleast_2d(np.asarray(raw, dtype=np.float64))
             det = self.detectors[k]
-            if not self._eligible(det, block) or (
+            if bypass or not self._eligible(det, block) or (
                 reference is not None and not self._uniform(reference, det)
             ):
                 self.last_drain["stock"].append(k)
@@ -367,17 +362,19 @@ class FleetEngine:
                 {k: w[:span] for (k, w), span in zip(remaining, spans)}
             )
             if predictions is None:
-                # Arena unavailable: finish every session on the stock
-                # segment loop (their windows are pushed, state current).
-                for (k, w), entry in zip(remaining, active):
-                    pos = entry[2]
+                # Arena unavailable: finish every session on its own
+                # segment loop (windows pushed, state current), writing
+                # through views of its result arrays.
+                for (k, w), (_, _, pos) in zip(remaining, active):
                     if pos == 0:
                         self.last_drain["stock"].append(k)
                         self.stock_steps += len(w)
                     else:
                         self.last_drain["dirty"].append(k)
                         self.dirty_steps += len(w)
-                    self._finish_stock(k, w, results[k], pos)
+                    self.detectors[k]._process_windows(
+                        w, 0, len(w), *(out[pos:] for out in results[k])
+                    )
                 return results  # type: ignore[return-value]
 
             # Nonconformity per session, then one session-axis scorer
@@ -525,28 +522,6 @@ class FleetEngine:
         return self._arena
 
     # ------------------------------------------------------------------
-    def _run_stock(self, k: int, windows: np.ndarray) -> BlockResult:
-        """Per-session segment loop over already-pushed windows."""
-        det = self.detectors[k]
-        n = len(windows)
-        a_out = np.zeros(n, dtype=np.float64)
-        f_out = np.zeros(n, dtype=np.float64)
-        drift_out = np.zeros(n, dtype=bool)
-        fine_out = np.zeros(n, dtype=bool)
-        det._process_windows(windows, 0, n, a_out, f_out, drift_out, fine_out)
-        return a_out, f_out, drift_out, fine_out
-
-    def _finish_stock(
-        self, k: int, windows: np.ndarray, result: BlockResult, pos: int
-    ) -> None:
-        """Drain a session's remaining windows through the stock loop."""
-        a_out, f_out, drift_out, fine_out = self._run_stock(k, windows)
-        a_res, f_res, d_res, fi_res = result
-        a_res[pos:] = a_out
-        f_res[pos:] = f_out
-        d_res[pos:] = drift_out
-        fi_res[pos:] = fine_out
-
     def _span_nonconformity(
         self, k: int, windows: np.ndarray, predictions: np.ndarray
     ) -> np.ndarray:
@@ -634,29 +609,8 @@ class FleetEngine:
             # One fine-tune per member; the group shares one train-set
             # size, so an equal split is the split by rows.
             self._credit(members, [1] * len(members), (("fine-tune", elapsed),))
-            loss_before, loss_after = fused
-            for k, before, after in zip(members, loss_before, loss_after):
-                det = self.detectors[k]
-                train_set = train_sets[k]
-                det.drift_detector.notify_finetuned(det.t, train_set)
-                det.telemetry.count("finetunes")
-                det.telemetry.event(
-                    "finetune",
-                    t=det.t,
-                    reason=det.drift_detector.name,
-                    train_set_size=len(train_set),
-                    loss_before=float(before),
-                    loss_after=float(after),
-                )
-                det.events.append(
-                    FineTuneEvent(
-                        t=det.t,
-                        reason=det.drift_detector.name,
-                        train_set_size=len(train_set),
-                        loss_before=before,
-                        loss_after=after,
-                    )
-                )
+            for k, before, after in zip(members, *fused):
+                self.detectors[k]._record_finetune(train_sets[k], before, after)
             self.finetunes_fused += len(members)
             self.points_fused_training += sum(
                 len(train_sets[k]) for k in members

@@ -160,7 +160,7 @@ class GridResult:
 
 
 def _run_cell(
-    payload: tuple[CorpusCell, int | None, int | None, bool],
+    payload: tuple[CorpusCell, int | None, int, bool],
 ) -> StreamResult | CellFailure:
     """Worker body: rebuild the detector, stream the series, capture errors."""
     cell, progress_every, batch_size, trace = payload
@@ -192,8 +192,8 @@ class ParallelCorpusRunner:
             gives the best load balance for heterogeneous cells; raise it
             when cells are tiny and numerous to amortize IPC.
         batch_size: forwarded to :func:`run_stream` — stream each cell
-            through the chunked engine in blocks of this many steps
-            (``None`` keeps the per-step reference loop).
+            in blocks of this many steps (results are bitwise invariant
+            to it).
         trace: collect per-cell :class:`~repro.obs.Telemetry` inside each
             worker and merge the snapshots into ``GridResult.telemetry``.
         retries: bounded re-execution budget for failed cells (default 1).
@@ -209,7 +209,7 @@ class ParallelCorpusRunner:
         self,
         n_jobs: int | None = None,
         chunksize: int = 1,
-        batch_size: int | None = None,
+        batch_size: int = 1,
         trace: bool = False,
         retries: int = 1,
     ) -> None:
@@ -273,7 +273,7 @@ class ParallelCorpusRunner:
 
     def _retry_failures(
         self,
-        payloads: list[tuple[CorpusCell, int | None, int | None, bool]],
+        payloads: list[tuple[CorpusCell, int | None, int, bool]],
         outcomes: list[StreamResult | CellFailure],
         progress: bool,
     ) -> tuple[int, int]:
@@ -397,7 +397,7 @@ _FORK_FACTORY: Callable[[TimeSeries], StreamingAnomalyDetector] | None = None
 
 
 def _run_forked_series(
-    payload: tuple[TimeSeries, int | None, int | None, bool],
+    payload: tuple[TimeSeries, int | None, int, bool],
 ) -> StreamResult | CellFailure:
     series, progress_every, batch_size, trace = payload
     assert _FORK_FACTORY is not None, "worker started without a factory"
@@ -430,7 +430,7 @@ def run_corpus_parallel(
     n_jobs: int,
     progress: bool = False,
     progress_every: int | None = None,
-    batch_size: int | None = None,
+    batch_size: int = 1,
     trace: bool = False,
 ) -> list[StreamResult | CellFailure]:
     """Stream every series through ``factory`` detectors, ``n_jobs`` at a time.

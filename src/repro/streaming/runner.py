@@ -59,7 +59,7 @@ def run_stream(
     detector: StreamingAnomalyDetector,
     series: TimeSeries,
     progress_every: int | None = None,
-    batch_size: int | None = None,
+    batch_size: int = 1,
     telemetry: Telemetry | None = None,
 ) -> StreamResult:
     """Feed every stream vector of ``series`` through ``detector``.
@@ -70,11 +70,10 @@ def run_stream(
         progress_every: optionally log a progress line every N steps
             (the ``repro.stream`` logger, ``INFO`` level; the handler is
             attached idempotently, so repeated runs never duplicate lines).
-        batch_size: when set (>= 1), process the stream through the
-            chunked engine (:meth:`StreamingAnomalyDetector.step_chunk`)
-            in blocks of this many steps; ``None`` keeps the sequential
-            per-step reference loop.  The chunked results are bitwise
-            invariant to the chosen block size.
+        batch_size: process the stream through
+            :meth:`StreamingAnomalyDetector.step_chunk` in blocks of this
+            many steps (>= 1).  The results are bitwise invariant to the
+            chosen block size; 1 is the sequential reference.
         telemetry: when given, attached to the detector for the duration
             of the run; the result carries an :meth:`Telemetry.as_dict`
             snapshot.  Telemetry never feeds back into the computation,
@@ -93,34 +92,22 @@ def run_stream(
     nonconformities = np.zeros(n_steps, dtype=np.float64)
     drift_steps: list[int] = []
     started = time.perf_counter()
-    if batch_size is None:
-        for t in range(n_steps):
-            result = detector.step(series.values[t])
-            scores[t] = result.score
-            nonconformities[t] = result.nonconformity
-            if result.drift_detected:
-                drift_steps.append(t)
-            if progress_every and t and t % progress_every == 0:
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    values = series.values
+    for start in range(0, n_steps, batch_size):
+        block = values[start : start + batch_size]
+        a_block, f_block, drift_block, _ = detector.step_chunk(block)
+        stop = start + len(block)
+        scores[start:stop] = f_block
+        nonconformities[start:stop] = a_block
+        if drift_block.any():
+            drift_steps.extend((start + np.flatnonzero(drift_block)).tolist())
+        if progress_every:
+            # One mark every ``progress_every`` steps, wherever blocks cut.
+            first = -(-max(start, 1) // progress_every) * progress_every
+            for t in range(first, stop, progress_every):
                 logger.info("  [%s] step %d/%d", series.name, t, n_steps)
-    else:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        values = series.values
-        for start in range(0, n_steps, batch_size):
-            block = values[start : start + batch_size]
-            a_block, f_block, drift_block, _ = detector.step_chunk(block)
-            stop = start + len(block)
-            scores[start:stop] = f_block
-            nonconformities[start:stop] = a_block
-            if drift_block.any():
-                drift_steps.extend(
-                    (start + np.flatnonzero(drift_block)).tolist()
-                )
-            if progress_every:
-                # Emit the same marks the per-step loop would have hit.
-                first = -(-max(start, 1) // progress_every) * progress_every
-                for t in range(first, stop, progress_every):
-                    logger.info("  [%s] step %d/%d", series.name, t, n_steps)
     runtime = time.perf_counter() - started
     if tel.enabled:
         tel.add_time(STAGE_PREFIX + "stream", runtime)
@@ -141,89 +128,3 @@ def run_stream(
         runtime_seconds=runtime,
         telemetry=tel.as_dict() if tel.enabled else None,
     )
-
-
-def run_fleet(
-    detectors: list[StreamingAnomalyDetector],
-    series_list: list[TimeSeries],
-    batch_size: int = 64,
-    min_fleet: int = 2,
-    engine: "FleetEngine | None" = None,
-) -> list[StreamResult]:
-    """Drive a fleet of detectors over equal-length series, fused.
-
-    The offline counterpart of the serving fused drain: detector ``k``
-    consumes ``series_list[k]`` in blocks of ``batch_size`` through one
-    shared :class:`~repro.streaming.fleet.FleetEngine`, so same-spec
-    sessions score (and fine-tune) through session-axis kernels.  The
-    results are bitwise identical to ``[run_stream(d, s,
-    batch_size=batch_size) for d, s in zip(detectors, series_list)]``.
-
-    Args:
-        detectors: one freshly built detector per series.
-        series_list: the labelled streams; all must share ``n_steps``.
-        batch_size: per-drain block length (>= 1).
-        min_fleet: forwarded to the engine — fleets below it drain per
-            session.
-        engine: optionally a pre-built engine over ``detectors`` (e.g.
-            to inspect its manifest afterwards); built fresh otherwise.
-
-    Returns:
-        One :class:`StreamResult` per detector, series-aligned.
-    """
-    from repro.streaming.fleet import FleetEngine
-
-    if len(detectors) != len(series_list):
-        raise ValueError(
-            f"expected one series per detector, got {len(detectors)} "
-            f"detectors and {len(series_list)} series"
-        )
-    if not detectors:
-        return []
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n_steps = series_list[0].n_steps
-    if any(series.n_steps != n_steps for series in series_list):
-        raise ValueError("fleet series must share the same length")
-    if engine is None:
-        engine = FleetEngine(detectors, min_fleet=min_fleet)
-    elif engine.detectors != list(detectors):
-        raise ValueError("engine must be built over the same detectors")
-    k = len(detectors)
-    scores = [np.zeros(n_steps, dtype=np.float64) for _ in range(k)]
-    nonconformities = [np.zeros(n_steps, dtype=np.float64) for _ in range(k)]
-    drift_steps: list[list[int]] = [[] for _ in range(k)]
-    started = time.perf_counter()
-    for start in range(0, n_steps, batch_size):
-        blocks = [
-            series.values[start : start + batch_size]
-            for series in series_list
-        ]
-        results = engine.step_chunk(blocks)
-        stop = start + len(blocks[0])
-        for i, (a_block, f_block, drift_block, _) in enumerate(results):
-            scores[i][start:stop] = f_block
-            nonconformities[i][start:stop] = a_block
-            if drift_block.any():
-                drift_steps[i].extend(
-                    (start + np.flatnonzero(drift_block)).tolist()
-                )
-    runtime = time.perf_counter() - started
-    return [
-        StreamResult(
-            series_name=series.name,
-            algorithm=type(det.model).name,
-            scores=scores[i],
-            nonconformities=nonconformities[i],
-            labels=series.labels.copy(),
-            first_scored=(
-                det.first_scored_step
-                if det.first_scored_step is not None
-                else n_steps
-            ),
-            events=list(det.events),
-            drift_steps=drift_steps[i],
-            runtime_seconds=runtime,
-        )
-        for i, (det, series) in enumerate(zip(detectors, series_list))
-    ]

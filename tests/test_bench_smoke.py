@@ -115,7 +115,6 @@ def test_bench_stream_smoke(tmp_path):
             "n_steps",
             "steps_per_second",
             "speedup_vs_chunk1",
-            "speedup_vs_legacy",
         ):
             assert key in combo
         # Correctness claim (identity with the chunk=1 reference) holds

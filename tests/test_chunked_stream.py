@@ -1,11 +1,12 @@
 """Bitwise-identity property tests for the chunked streaming engine.
 
 The contract under test: for every algorithm in the registry, streaming a
-series through :func:`run_stream` with any ``batch_size`` yields exactly
-the same scores, nonconformities, events and drift steps as
-``batch_size=1`` — the sequential reference of the chunked engine.  The
-supporting layers (block scorers, rolling-buffer block pushes, chunk
-validation, detector reuse) are covered individually below.
+series through :func:`run_stream` with any ``batch_size`` — or at its
+default, or through a ``detector.step`` loop — yields exactly the same
+scores, nonconformities, events and drift steps as ``batch_size=1``, the
+sequential reference of the chunked engine.  The supporting layers
+(block scorers, rolling-buffer block pushes, chunk validation, detector
+reuse) are covered individually below.
 """
 
 from __future__ import annotations
@@ -56,14 +57,39 @@ def run_chunked(spec: AlgorithmSpec, series: TimeSeries, chunk: int) -> StreamRe
     return run_stream(detector, series, batch_size=chunk)
 
 
+def run_step_loop(spec: AlgorithmSpec, series: TimeSeries) -> StreamResult:
+    """One ``detector.step`` call per row, collected as ``run_stream`` does."""
+    detector = build_detector(spec, n_channels=series.n_channels, config=CONFIG)
+    steps = [detector.step(row) for row in series.values]
+    first_scored = detector.first_scored_step
+    return StreamResult(
+        series_name=series.name,
+        algorithm=spec.label,
+        scores=np.array([step.score for step in steps]),
+        nonconformities=np.array([step.nonconformity for step in steps]),
+        labels=series.labels,
+        first_scored=series.n_steps if first_scored is None else first_scored,
+        events=list(detector.events),
+        drift_steps=[step.t for step in steps if step.drift_detected],
+    )
+
+
+def assert_matches_chunk1(spec: AlgorithmSpec, series: TimeSeries) -> None:
+    """Every way of driving the stream equals the chunk=1 reference: the
+    other chunk sizes, ``run_stream``'s default and a ``step`` loop."""
+    reference = result_fingerprint(run_chunked(spec, series, 1))
+    runs = [(f"chunk={c}", run_chunked(spec, series, c)) for c in CHUNK_SIZES]
+    detector = build_detector(spec, n_channels=series.n_channels, config=CONFIG)
+    runs.append(("default run_stream", run_stream(detector, series)))
+    runs.append(("step loop", run_step_loop(spec, series)))
+    for name, result in runs:
+        assert result_fingerprint(result) == reference, f"{spec.label}: {name}"
+
+
 @pytest.mark.parametrize("spec", build_algorithm_grid(), ids=lambda s: s.label)
 def test_registry_chunk_invariance(spec, series):
     """All 26 Table-I combos: any chunking == the chunk=1 reference."""
-    reference = result_fingerprint(run_chunked(spec, series, 1))
-    for chunk in CHUNK_SIZES:
-        assert result_fingerprint(run_chunked(spec, series, chunk)) == reference, (
-            f"{spec.label} diverged at chunk={chunk}"
-        )
+    assert_matches_chunk1(spec, series)
 
 
 @pytest.mark.parametrize(
@@ -71,10 +97,7 @@ def test_registry_chunk_invariance(spec, series):
 )
 def test_extension_models_chunk_invariance(model, series):
     """Extension models (incl. stateful score models on the fallback path)."""
-    spec = AlgorithmSpec(model, "sw", "musigma")
-    reference = result_fingerprint(run_chunked(spec, series, 1))
-    for chunk in CHUNK_SIZES:
-        assert result_fingerprint(run_chunked(spec, series, chunk)) == reference
+    assert_matches_chunk1(AlgorithmSpec(model, "sw", "musigma"), series)
 
 
 @pytest.mark.parametrize(
@@ -82,10 +105,7 @@ def test_extension_models_chunk_invariance(model, series):
 )
 def test_lazy_train_set_detectors_chunk_invariance(task2, series):
     """Task-2 detectors that skip training-set materialization."""
-    spec = AlgorithmSpec("ae", "sw", task2)
-    reference = result_fingerprint(run_chunked(spec, series, 1))
-    for chunk in CHUNK_SIZES:
-        assert result_fingerprint(run_chunked(spec, series, chunk)) == reference
+    assert_matches_chunk1(AlgorithmSpec("ae", "sw", task2), series)
 
 
 def test_finetune_straddles_chunk(series):

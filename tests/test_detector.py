@@ -97,11 +97,13 @@ class TestDetectorLifecycle:
         detector.step(np.zeros(2))
         with pytest.raises(StreamError):
             detector.step(np.zeros(3))
+        assert detector.t == 0  # a rejected step does not advance the clock
 
     def test_non_finite_rejected(self):
         detector = build_detector()
         with pytest.raises(StreamError):
             detector.step(np.array([np.nan, 1.0]))
+        assert detector.t == -1
 
     def test_never_strategy_no_finetunes(self):
         detector = build_detector(task2=NeverFineTune())

@@ -187,18 +187,17 @@ class TestRunManifest:
 class TestTelemetryInvariance:
     """Tracing must never change a score — the zero-feedback guarantee."""
 
+    # ``None`` runs ``run_stream`` at its default block size.
     @pytest.mark.parametrize("batch_size", [None, 32])
     @pytest.mark.parametrize(
         "spec", [("ae", "sw", "kswin"), ("pcb_iforest", "sw", "kswin")]
     )
     def test_traced_scores_bitwise_identical(self, spec, batch_size):
         series = make_series()
-        plain = run_stream(fresh_detector(spec), series, batch_size=batch_size)
+        chunk = {} if batch_size is None else {"batch_size": batch_size}
+        plain = run_stream(fresh_detector(spec), series, **chunk)
         traced = run_stream(
-            fresh_detector(spec),
-            series,
-            batch_size=batch_size,
-            telemetry=Telemetry(),
+            fresh_detector(spec), series, telemetry=Telemetry(), **chunk
         )
         assert np.array_equal(plain.scores, traced.scores)
         assert np.array_equal(plain.nonconformities, traced.nonconformities)
@@ -210,9 +209,8 @@ class TestTelemetryInvariance:
     def test_counters_match_result_exactly(self, batch_size):
         series = make_series()
         tel = Telemetry()
-        result = run_stream(
-            fresh_detector(), series, batch_size=batch_size, telemetry=tel
-        )
+        chunk = {} if batch_size is None else {"batch_size": batch_size}
+        result = run_stream(fresh_detector(), series, telemetry=tel, **chunk)
         c = tel.counters
         assert c["steps"] == series.n_steps
         assert c.get("finetunes", 0) == result.n_finetunes

@@ -25,7 +25,7 @@ from repro.serve import (
     parse_request,
     spill_filename,
 )
-from repro.streaming import EnsembleDetector, run_stream
+from repro.streaming import EnsembleDetector, FleetEngine, run_stream
 
 CONFIG = dict(window=6, train_capacity=24, fit_epochs=2, kswin_check_every=4)
 
@@ -380,6 +380,101 @@ class TestFusedDrain:
             )
             served = np.array([results[stream][i]["score"] for i in range(320)])
             assert served.tobytes() == offline.scores.tobytes(), stream
+
+
+def offline_scores(spec, series, config=CONFIG):
+    """Scores of offline ``run_stream(batch_size=1)`` over ``series``."""
+    return run_stream(
+        build_detector(AlgorithmSpec(*spec.split("+")), 2, DetectorConfig(**config)),
+        TimeSeries(values=series, labels=np.zeros(len(series), dtype=int)),
+        batch_size=1,
+    ).scores
+
+
+class TestOneDrain:
+    """Groups, lone due sessions and ``flush_session`` share one drain."""
+
+    def test_lone_flush_keeps_group_engine(self):
+        """A ``score(flush=True)`` on one group member between pumps
+        drains it alone without evicting the group's cached engine, and
+        its scores stay bitwise equal to offline ``run_stream``."""
+        service = DetectionService(
+            ServeConfig(max_batch=16, max_delay_ms=10_000.0), autostart=False
+        )
+        client = ServeClient(service)
+        streams = ["a", "b", "c"]
+        values = [points(240, seed=40 + k) for k in range(len(streams))]
+        for stream in streams:
+            assert client.create(
+                stream, spec="ae+sw+musigma", n_channels=2, config=CONFIG
+            )["ok"]
+        key = service.store.get("a").fleet_key
+        scores = {stream: [] for stream in streams}
+        sent = {stream: 0 for stream in streams}
+
+        def feed(stream, n):
+            series = values[streams.index(stream)]
+            assert client.ingest(stream, series[sent[stream] : sent[stream] + n])["ok"]
+            sent[stream] += n
+
+        engine = None
+        for _ in range(10):
+            for stream in streams:
+                feed(stream, 16)
+            while service.pump():
+                pass
+            cached = service.scheduler._fleets[key][1]
+            assert engine is None or cached is engine
+            engine = cached
+            for stream in streams:
+                rows = client.score(stream, flush=False)["results"]
+                scores[stream] += [row["score"] for row in rows]
+            # 8 < max_batch queued points: not due, only the flush drains them.
+            feed("a", 8)
+            rows = client.score("a", flush=True)["results"]
+            assert len(rows) == 8
+            scores["a"] += [row["score"] for row in rows]
+            assert service.scheduler._fleets[key][1] is engine
+        assert client.stats()["fleet"]["counters"]["points_fused"] > 0
+        for stream, series in zip(streams, values):
+            served = np.array(scores[stream])
+            assert len(served) == sent[stream]
+            expected = offline_scores("ae+sw+musigma", series[: sent[stream]])
+            assert served.tobytes() == expected.tobytes(), stream
+
+    def test_prebuilt_session_drains_through_fleet_engine(self, monkeypatch):
+        """A prebuilt-detector session (no fleet key) drains through the
+        same routine — a one-member :class:`FleetEngine` call per
+        micro-batch, for a flush and for a pump alike — and counts
+        ``points_scored`` and ``batches_flushed`` per micro-batch."""
+        members = []
+        step_chunk = FleetEngine.step_chunk
+
+        def spy(engine, blocks):
+            members.append([id(det) for det in engine.detectors])
+            return step_chunk(engine, blocks)
+
+        monkeypatch.setattr(FleetEngine, "step_chunk", spy)
+        service, client = make_service(queue_limit=64, result_limit=128)
+        detector = build_detector(
+            AlgorithmSpec("ae", "sw", "musigma"), 2, DetectorConfig(**CONFIG)
+        )
+        session = service.create_session("p", detector=detector, n_channels=2)
+        assert session.fleet_key is None
+        values = points(64, seed=5)
+        client.ingest("p", values[:40])
+        scores = [row["score"] for row in client.score("p")["results"]]
+        client.ingest("p", values[40:])
+        while service.pump():
+            pass
+        scores += [row["score"] for row in client.score("p", flush=False)["results"]]
+
+        assert members == [[id(detector)]] * 8  # 5 flushed + 3 pumped batches
+        counters = client.stats()["fleet"]["counters"]
+        assert counters["points_scored"] == 64
+        assert counters["batches_flushed"] == 8
+        expected = offline_scores("ae+sw+musigma", values)
+        assert np.array(scores).tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
