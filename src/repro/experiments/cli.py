@@ -134,10 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-sessions", type=int, default=64,
                        dest="max_sessions",
                        help="hydrated-detector bound; LRU sessions beyond "
-                            "it spill to the checkpoint directory")
+                            "it are evicted to a checkpoint")
     serve.add_argument("--spill-dir", default=None, dest="spill_dir",
-                       help="eviction checkpoint directory (default: a "
-                            "fresh temporary directory)")
+                       help="checkpoint directory for evicted sessions "
+                            "without a write-ahead log; a logged session "
+                            "evicts through its WAL barrier checkpoint "
+                            "(default: a fresh temporary directory)")
     serve.add_argument("--max-batch", type=int, default=64, dest="max_batch",
                        help="micro-batch size coalesced per step_chunk call")
     serve.add_argument("--max-delay-ms", type=float, default=25.0,
@@ -161,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "sweeps (worker respawn + rebalance check)")
     serve.add_argument("--idle-timeout", type=float, default=None,
                        dest="idle_timeout",
-                       help="spill sessions idle this many seconds even "
+                       help="evict sessions idle this many seconds even "
                             "below the capacity bound")
     serve.add_argument("--wal-dir", default=None, dest="wal_dir",
                        help="enable the per-session write-ahead ingest "

@@ -105,6 +105,10 @@ class MuSigmaChange(DriftDetector):
         self._sumsq: FloatArray | None = None
         self._ref_mean: FloatArray | None = None
         self._ref_std: FloatArray | None = None
+        #: feature means of ``_ref_std``, ``_ref_std * std_factor`` and
+        #: ``_ref_std / std_factor``: the ``"mean"`` aggregate's three
+        #: thresholds, fixed between snapshots.
+        self._ref_means: tuple[float, float, float] | None = None
 
     # ------------------------------------------------------------------
     # running statistics
@@ -137,24 +141,27 @@ class MuSigmaChange(DriftDetector):
     @property
     def mean(self) -> FloatArray | None:
         """Current running mean over the training set (flattened features)."""
-        if self._sum is None or self._count == 0:
-            return None
-        return self._shift + self._sum / self._count
+        return self._moments()[0]
 
     @property
     def std(self) -> FloatArray | None:
         """Current running standard deviation (population form)."""
-        if self._sumsq is None or self._count == 0:
-            return None
-        variance = self._sumsq / self._count - (self._sum / self._count) ** 2
-        return np.sqrt(np.maximum(variance, 0.0))
+        return self._moments()[1]
+
+    def _moments(self) -> tuple[FloatArray | None, FloatArray | None]:
+        """``(mean, std)`` from one pass over the running sums."""
+        if self._sum is None or self._count == 0:
+            return None, None
+        shifted_mean = self._sum / self._count
+        variance = self._sumsq / self._count - shifted_mean**2
+        return self._shift + shifted_mean, np.sqrt(np.maximum(variance, 0.0))
 
     # ------------------------------------------------------------------
     # drift decision
     # ------------------------------------------------------------------
     def should_finetune(self, t: int, train_set: FloatArray) -> bool:
-        mean, std = self.mean, self.std
-        if mean is None or std is None:
+        mean, std = self._moments()
+        if mean is None:
             return False
         if self._ref_mean is None:
             # First call: adopt the current statistics as the reference.
@@ -164,27 +171,37 @@ class MuSigmaChange(DriftDetector):
         self.ops.additions += dim
         self.ops.comparisons += 3 * dim
         mean_shift = np.abs(mean - self._ref_mean)
-        mean_trigger = mean_shift > self._ref_std
-        upper = self._ref_std * self.std_factor
-        lower = self._ref_std / self.std_factor
-        std_trigger = (std > upper) | (std < lower)
         if self.aggregate == "any":
-            return bool(np.any(mean_trigger) or np.any(std_trigger))
+            upper = self._ref_std * self.std_factor
+            lower = self._ref_std / self.std_factor
+            return bool(
+                np.any(mean_shift > self._ref_std)
+                or np.any((std > upper) | (std < lower))
+            )
+        ref_std, upper, lower = self._ref_means
+        # ``sum() / size`` is exactly what ``mean()`` computes, without
+        # its Python-level wrapper (this check runs on every step).
+        std_mean = std.sum() / dim
         return bool(
-            mean_shift.mean() > self._ref_std.mean()
-            or std.mean() > upper.mean()
-            or std.mean() < lower.mean()
+            mean_shift.sum() / dim > ref_std
+            or std_mean > upper
+            or std_mean < lower
         )
 
     def notify_finetuned(self, t: int, train_set: FloatArray) -> None:
-        mean, std = self.mean, self.std
-        if mean is not None and std is not None:
+        mean, std = self._moments()
+        if mean is not None:
             self._snapshot(mean, std)
 
     def _snapshot(self, mean: FloatArray, std: FloatArray) -> None:
         self._ref_mean = mean.copy()
         # Guard against a zero reference std, which would trigger forever.
         self._ref_std = np.maximum(std.copy(), 1e-12)
+        self._ref_means = (
+            self._ref_std.mean(),
+            (self._ref_std * self.std_factor).mean(),
+            (self._ref_std / self.std_factor).mean(),
+        )
 
     def reset(self) -> None:
         super().reset()
@@ -194,6 +211,7 @@ class MuSigmaChange(DriftDetector):
         self._sumsq = None
         self._ref_mean = None
         self._ref_std = None
+        self._ref_means = None
 
     @property
     def fuse_ready(self) -> bool:

@@ -205,20 +205,16 @@ class ParameterArena:
             fused.zero_grad()
 
     def writeback(self) -> None:
-        """Copy stacked values *and gradients* back into the members.
+        """Copy stacked values back into the members.
 
         For a scratch arena (``attach=False``) this is the only point at
-        which a fused fine-tune mutates the member models; both arrays are
+        which a fused fine-tune mutates the member models; values are
         copied in place (``[...]``), so members whose values are row views
-        of a live inference arena keep writing through it.  Gradients are
-        copied too: the member's post-training ``param.grad`` is part of
-        its checkpoint bytes, and bitwise equality with the per-session
-        path requires the final accumulated gradient to match.
+        of a live inference arena keep writing through it.
         """
-        for (params, stack), fused in zip(self._bindings, self._fused):
+        for params, stack in self._bindings:
             for k, param in enumerate(params):
                 param.value[...] = stack[k]
-                param.grad[...] = fused.grad[k]
 
 
 _MISSING = object()

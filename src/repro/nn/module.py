@@ -35,6 +35,21 @@ class Parameter:
         """Reset the accumulated gradient to zero."""
         self.grad[...] = 0.0
 
+    def __getstate__(self) -> dict:
+        """Pickle without the gradient.
+
+        Every trainer zeroes gradients before its first backward, so a
+        checkpointed ``grad`` would never be read again; dropping it
+        shrinks checkpoints, and a restored Parameter starts at zeros.
+        """
+        state = dict(self.__dict__)
+        del state["grad"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.grad = np.zeros_like(self.value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "param"
         return f"Parameter({label}, shape={self.value.shape})"

@@ -14,7 +14,7 @@ Layers (zero new dependencies — stdlib + numpy):
   queues, :class:`~repro.serve.scheduler.QueueFull` backpressure and
   round-robin fairness;
 - :mod:`repro.serve.state` — LRU session store with checkpoint-backed
-  eviction (spill to ``CHECKPOINT_VERSION`` 4 files, transparent
+  eviction (a WAL barrier, or a spill file without a log; transparent
   rehydration, bitwise-identical resume);
 - :mod:`repro.serve.wal` — per-session write-ahead ingest logs with
   checkpoint barriers: crash-safe durability, bounded replay, and

@@ -17,9 +17,9 @@ unchanged, behind one front door that
   :func:`~repro.obs.merge_summaries` over the sessions' raw reservoir
   windows (percentiles over the union of samples, not averages of
   per-worker percentiles);
-- **migrates live sessions** on the bitwise checkpoint spill files:
-  ``evict`` on the source (flush + spill), drain the source's buffered
-  results into the router, move the spill bytes with
+- **migrates live sessions** on bitwise checkpoint files: ``evict`` on
+  the source (flush + checkpoint: a WAL barrier, or a spill), drain its
+  buffered results into the router, move the checkpoint bytes with
   :func:`~repro.streaming.checkpoint.transfer_checkpoint`,
   ``create``-with-``resume`` on the target (sequence numbers continue
   from the checkpoint's stream clock), ``close`` the source.  Checkpoint
@@ -726,11 +726,11 @@ class RouterService:
     def migrate(self, stream: str, target: int) -> dict[str, Any]:
         """Move one live stream to another shard, bitwise-losslessly.
 
-        evict (flush + spill) on the source → drain its buffered results
-        into the router → transfer the spill bytes → resume-``create``
-        on the target at the checkpoint's stream clock → ``close`` the
-        source.  The per-stream lock holds for the whole dance, so no
-        ingest can slip into the source mid-move.
+        evict (flush + checkpoint) on the source → drain its buffered
+        results into the router → ship the checkpoint the evict reply
+        names to the target → resume-``create`` there at its stream
+        clock → ``close`` the source.  The per-stream lock holds for the
+        whole dance, so no ingest can slip into the source mid-move.
         """
         if not 0 <= target < len(self.workers):
             raise ConfigurationError(
@@ -748,6 +748,7 @@ class RouterService:
                 raise ReproError(
                     f"migration evict failed for {stream!r}: {reply.get('error')}"
                 )
+            checkpoint = Path(reply["spilled"])
             drained: list[dict[str, Any]] = []
             while True:
                 reply = source.request("score", stream=stream, flush=False)
@@ -760,9 +761,7 @@ class RouterService:
                 if not reply.get("pending_results"):
                     break
             name = spill_filename(stream)
-            meta = transfer_checkpoint(
-                source.spill_dir / name, destination.spill_dir / name
-            )
+            meta = transfer_checkpoint(checkpoint, destination.spill_dir / name)
             # meta["t"] is the index of the last processed point (-1 when
             # none); the next sequence number is one past it.
             seq = int(meta.get("t", -1)) + 1

@@ -88,14 +88,14 @@ class ServeConfig:
             omit a spec (``None`` makes the spec mandatory per request).
         scorer: anomaly-scoring override applied to built detectors.
         max_sessions: hydrated-detector bound of the session store; the
-            LRU session beyond it spills to ``spill_dir``.
-        spill_dir: eviction checkpoint directory (``None``: a fresh
-            temporary directory per service).
+            LRU session beyond it is evicted to a checkpoint.
+        spill_dir: where evicted sessions without a write-ahead log
+            spill (``None``: a fresh temporary directory per service).
         max_batch / max_delay_ms / queue_limit / result_limit: micro-
             batching and backpressure knobs (:class:`SchedulerConfig`).
             Every drain goes through the fused fleet engine; fusion is
             bitwise neutral, so it has no switch.
-        idle_timeout_s: when set, sessions idle this long are spilled
+        idle_timeout_s: when set, sessions idle this long are evicted
             even below the capacity bound (a memory-release sweep run by
             the drain loop).
         per_session_telemetry: attach a :class:`~repro.obs.Telemetry` to
@@ -425,7 +425,7 @@ class DetectionService:
         Runs at construction (before the drain thread starts) when the
         WAL is enabled.  Each orphaned log left by a crashed incarnation
         becomes a live session again: the newest durable checkpoint
-        (barrier or eviction spill) is adopted, the log entries past its
+        (barrier, or an adopted spill) is loaded, the log entries past its
         stream clock are replayed through the ordinary ``step_chunk``
         engine, and the results land in the session's buffer exactly as
         if the crash never happened — unacknowledged ``score`` replies
@@ -476,10 +476,10 @@ class DetectionService:
                 f"log {path.name} claims stream {stream!r}, which hashes "
                 f"to {wal.path.name}"
             )
-        # Newest durable checkpoint wins: a barrier checkpoint and an
-        # eviction spill can both exist (e.g. a crash right after an
-        # evict); their stream clocks decide, and replay resumes at the
-        # winner's ``t + 1``.
+        # Newest durable checkpoint wins: a barrier checkpoint and a
+        # spill can both exist (a resumed stream's adopted spill until
+        # it rehydrates); their stream clocks decide, and replay resumes
+        # at the winner's ``t + 1``.
         ckpt_t, ckpt_path = -1, None
         for candidate in (wal.barrier_path, self.store.spill_path_for(stream)):
             if not candidate.exists():
@@ -669,7 +669,7 @@ class DetectionService:
         }
 
     def evict(self, stream: str) -> dict[str, Any]:
-        """Flush then spill one session (the operational ``evict`` verb)."""
+        """Flush then evict one session (the operational ``evict`` verb)."""
         session = self.store.get(stream)
         self.scheduler.flush_session(session)
         path = self.store.evict(session)

@@ -92,7 +92,7 @@ class DetectorSession:
         #: service could not fingerprint).
         self.fleet_key: tuple | None = None
 
-        #: spill bookkeeping, maintained by the session store.
+        #: evicted detector's checkpoint (spill or WAL barrier), set by the store.
         self.spill_path: Path | None = None
         self.n_evictions = 0
         self.n_rehydrations = 0
@@ -124,7 +124,7 @@ class DetectorSession:
     # ------------------------------------------------------------------
     @property
     def hydrated(self) -> bool:
-        """Whether the detector is live in memory (vs spilled to disk)."""
+        """Whether the detector is live in memory (vs evicted to disk)."""
         return self.detector is not None
 
     @property

@@ -3,15 +3,15 @@
 A long-lived service accumulates sessions faster than memory allows —
 every live detector carries model parameters, a training set and scorer
 history.  The store keeps at most ``max_live`` detectors hydrated; the
-least-recently-active evictable session beyond that is *spilled*:
-serialized with :func:`~repro.streaming.checkpoint.save_detector`
-(atomic write, ``CHECKPOINT_VERSION`` 4) into the spill directory and
-dropped from memory.  The session object itself — sequence numbers,
-queues, result buffer, telemetry — stays resident; only the detector is
-swapped out.  The next point for an evicted stream rehydrates it
-transparently, and because checkpoint round-trips are bitwise-exact
-(``tests/test_checkpoint_roundtrip.py``), an evicted/rehydrated session
-produces scores identical to one that never left memory.
+least-recently-active evictable session beyond that is checkpointed —
+a WAL barrier if it has a write-ahead log, else a *spill* file written
+by :func:`~repro.streaming.checkpoint.save_detector` into the spill
+directory — and dropped from memory.  The session object itself —
+sequence numbers, queues, result buffer, telemetry — stays resident;
+only the detector is swapped out.  The next point for an evicted stream
+rehydrates it transparently, and because checkpoint round-trips are
+bitwise-exact (``tests/test_checkpoint_roundtrip.py``), an evicted and
+rehydrated session scores identically to one that never left memory.
 
 Spill files are named by a hash of the stream id (ids are caller-chosen
 and may not be filesystem-safe) and deleted on rehydrate and on close.
@@ -66,7 +66,7 @@ class SessionStore:
     """All sessions of one service, with bounded detector residency.
 
     Args:
-        spill_dir: directory for eviction checkpoints (created eagerly).
+        spill_dir: directory for spill files (created eagerly).
         max_live: hydrated-detector bound; a soft limit — when every
             candidate is busy or non-evictable the store stays over
             capacity rather than blocking.
@@ -89,9 +89,8 @@ class SessionStore:
         self.max_live = max_live
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._clock = clock
-        #: when set, sessions may carry a write-ahead log; spills become
-        #: durable (fsync) so an eviction checkpoint survives power loss
-        #: the same way a barrier checkpoint does.
+        #: when set, sessions may carry a write-ahead log, and the startup
+        #: sweep lists the logs in its directory that no session owns.
         self.wal_config = wal_config
         self._lock = RLock()
         self._sessions: dict[str, DetectorSession] = {}
@@ -272,28 +271,28 @@ class SessionStore:
         return self.spill_dir / spill_filename(stream_id)
 
     def evict(self, session: DetectorSession) -> Path:
-        """Spill one session's detector to its checkpoint file.
+        """Checkpoint one session's detector and drop it from memory.
 
-        The caller must ensure the session's queue is drained first
-        (``flush`` before a forced evict); the capacity scan only picks
-        empty-queue sessions.  Safe to call with the session lock held.
+        A session with a write-ahead log takes a barrier and rehydrates
+        from its checkpoint; one without spills to its own file.  The
+        caller must drain the queue first (``flush`` before a forced
+        evict); the capacity scan only picks empty-queue sessions.  Safe
+        to call with the session lock held.  Returns the checkpoint path.
         """
         with session.lock:
             if not session.hydrated:
-                return session.spill_path  # already spilled
+                return session.spill_path  # already evicted
             if not session.evictable:
                 raise ConfigurationError(
                     f"session {session.stream_id!r} wraps a detector that "
                     "cannot checkpoint; it must stay resident"
                 )
-            path = self.spill_path_for(session.stream_id)
             if session.wal is not None:
-                # Barrier first: the log shrinks to the in-flight tail
-                # and the barrier checkpoint becomes a durable anchor
-                # that outlives the spill file (rehydrate deletes the
-                # spill; the barrier stays until the next one).
                 session.wal.barrier(session.detector)
-            save_detector(session.detector, path, durable=session.wal is not None)
+                path = session.wal.barrier_path
+            else:
+                path = self.spill_path_for(session.stream_id)
+                save_detector(session.detector, path)
             session.detector = None
             session.spill_path = path
             session.n_evictions += 1
@@ -301,12 +300,13 @@ class SessionStore:
         return path
 
     def rehydrate(self, session: DetectorSession) -> None:
-        """Load a spilled session's detector back into memory.
+        """Load an evicted session's detector back into memory.
 
         Called by the scheduler (under the session lock) right before a
         flush.  Re-attaches the session's telemetry — checkpoints never
-        persist a sink — and frees the spill file, then re-enforces the
-        residency bound, which may push out a colder session.
+        persist a sink — and frees a spill file (a barrier checkpoint
+        stays), then re-enforces the residency bound, which may push out
+        a colder session.
         """
         with session.lock:
             if session.hydrated:
@@ -320,7 +320,8 @@ class SessionStore:
             if session.telemetry is not None:
                 detector.telemetry = session.telemetry
             session.detector = detector
-            session.spill_path.unlink(missing_ok=True)
+            if session.spill_path == self.spill_path_for(session.stream_id):
+                session.spill_path.unlink(missing_ok=True)
             session.spill_path = None
             session.n_rehydrations += 1
             session.touch()
@@ -371,7 +372,7 @@ class SessionStore:
             evicted += 1
 
     def evict_idle(self, max_idle_seconds: float) -> int:
-        """Spill every evictable session idle longer than the threshold
+        """Evict every evictable session idle longer than the threshold
         (independent of the capacity bound; a memory-release sweep)."""
         now = self._clock()
         evicted = 0

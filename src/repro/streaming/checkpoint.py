@@ -11,7 +11,13 @@ load checkpoints you produced yourself.
 
 Versioning policy: ``CHECKPOINT_VERSION`` is bumped whenever the pickled
 detector structure changes in a way an older (or newer) library would
-silently mis-resume — *not* only when unpickling would crash.  Version 4
+silently mis-resume — *not* only when unpickling would crash.  Version 5
+drops dead gradients and caches the μ/σ thresholds: ``Parameter`` pickles
+without ``grad`` (every trainer zeroes it before its first backward, so
+it was never read back; a restored Parameter starts at zeros), which
+takes about a fifth off a ``usad+ares+musigma`` checkpoint, and
+``MuSigmaChange`` carries the feature means of its reference thresholds
+(``_ref_means``), which a v4 detector lacks.  Version 4
 covers KSWIN's rank counters: the detector's pickled state changed layout
 (a sorted reference plus rank histograms in place of per-channel sorted
 pools), so a v3 checkpoint would resume with a stale sorted-pool list the
@@ -50,7 +56,7 @@ import numpy as np
 from repro.core.detector import StreamingAnomalyDetector
 
 #: bump when the detector's persisted structure changes incompatibly.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def fsync_dir(path: str | Path) -> None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.config import DetectorConfig
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
+from repro.learning.drift import MuSigmaChange
 from repro.metrics import (
     buffered_label_weights,
     nab_score,
@@ -258,3 +259,111 @@ class TestFlatTreeMatchesRecursive:
             [tree.path_length_recursive(data[0]) for tree in forest.trees]
         )
         np.testing.assert_array_equal(after, recursive)
+
+
+class _MuSigmaOracle(MuSigmaChange):
+    """μ/σ-Change with the uncached formulas, inline: moments, every
+    threshold and every feature mean recomputed on every check."""
+
+    def _inline_moments(self):
+        if self._sum is None or self._count == 0:
+            return None, None
+        mean = self._shift + self._sum / self._count
+        variance = self._sumsq / self._count - (self._sum / self._count) ** 2
+        return mean, np.sqrt(np.maximum(variance, 0.0))
+
+    def _inline_snapshot(self, mean, std):
+        self._ref_mean = mean.copy()
+        self._ref_std = np.maximum(std.copy(), 1e-12)
+
+    def notify_finetuned(self, t, train_set):
+        mean, std = self._inline_moments()
+        if mean is not None and std is not None:
+            self._inline_snapshot(mean, std)
+
+    def should_finetune(self, t, train_set):
+        mean, std = self._inline_moments()
+        if mean is None or std is None:
+            return False
+        if self._ref_mean is None:
+            self._inline_snapshot(mean, std)
+            return False
+        dim = mean.size
+        self.ops.additions += dim
+        self.ops.comparisons += 3 * dim
+        mean_shift = np.abs(mean - self._ref_mean)
+        mean_trigger = mean_shift > self._ref_std
+        upper = self._ref_std * self.std_factor
+        lower = self._ref_std / self.std_factor
+        std_trigger = (std > upper) | (std < lower)
+        if self.aggregate == "any":
+            return bool(np.any(mean_trigger) or np.any(std_trigger))
+        return bool(
+            mean_shift.mean() > self._ref_std.mean()
+            or std.mean() > upper.mean()
+            or std.mean() < lower.mean()
+        )
+
+
+class TestMuSigmaCachedThresholds:
+    """The cached reference means decide exactly as the formula that
+    recomputes them per check, across fine-tune snapshots, ``reset`` and
+    a checkpoint round trip."""
+
+    @given(
+        st.sampled_from(["mean", "any"]),
+        st.sampled_from([1.5, 2.0, 3.0]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=20, max_value=160),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_and_ops_match_oracle(
+        self, aggregate, std_factor, dim, capacity, n_steps, pickle_frac, seed
+    ):
+        import collections
+        import pickle
+
+        from repro.learning.base import Update, UpdateKind
+
+        rng = np.random.default_rng(seed)
+        # Regime shifts in mean and spread, so both criteria fire.
+        scale = np.where(np.arange(n_steps) < n_steps // 2, 1.0, 4.0)
+        values = rng.normal(size=(n_steps, dim)) * scale[:, None]
+        values[2 * n_steps // 3 :] += 3.0
+        detector = MuSigmaChange(aggregate=aggregate, std_factor=std_factor)
+        oracle = _MuSigmaOracle(aggregate=aggregate, std_factor=std_factor)
+        pickle_at = int(pickle_frac * n_steps)
+        reset_at = int(rng.integers(0, 2 * n_steps))  # past the end: never
+        train_set = collections.deque()
+        for t, vector in enumerate(values):
+            if t == pickle_at:
+                detector = pickle.loads(pickle.dumps(detector))
+            if t == reset_at:
+                detector.reset()
+                oracle.reset()
+                train_set.clear()
+            if rng.random() < 0.1:
+                update = Update(UpdateKind.UNCHANGED)
+            elif len(train_set) < capacity:
+                train_set.append(vector)
+                update = Update(UpdateKind.ADDED, vector)
+            else:
+                removed = train_set.popleft()
+                train_set.append(vector)
+                update = Update(UpdateKind.REPLACED, vector, removed)
+            detector.observe(update, t)
+            oracle.observe(update, t)
+            fired = detector.should_finetune(t, None)
+            assert fired == oracle.should_finetune(t, None), t
+            if fired or rng.random() < 0.05:
+                detector.notify_finetuned(t, None)
+                oracle.notify_finetuned(t, None)
+            assert detector.ops == oracle.ops, t
+        for name in ("_ref_mean", "_ref_std"):
+            mine, theirs = getattr(detector, name), getattr(oracle, name)
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert mine.tobytes() == theirs.tobytes()

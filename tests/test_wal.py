@@ -23,6 +23,8 @@ from repro.core.config import DetectorConfig
 from repro.core.exceptions import ConfigurationError
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
+from repro.serve import state as serve_state
+from repro.serve import wal as serve_wal
 from repro.serve import (
     DetectionService,
     RouterConfig,
@@ -34,6 +36,7 @@ from repro.serve import (
     WalCorruption,
     plan_replay,
     read_records,
+    spill_filename,
     wal_filename,
 )
 from repro.streaming import run_stream
@@ -63,11 +66,11 @@ def make_stream(n=N, seed=11):
     return values + rng.normal(scale=0.08, size=values.shape)
 
 
-_OFFLINE_CACHE: dict[int, object] = {}
+_OFFLINE_CACHE: dict[bytes, object] = {}
 
 
 def offline_reference(values):
-    key = len(values)
+    key = values.tobytes()
     if key not in _OFFLINE_CACHE:
         detector = build_detector(
             AlgorithmSpec(*SPEC), n_channels=2, config=DetectorConfig(**CONFIG)
@@ -300,8 +303,8 @@ def test_crash_between_barrier_and_truncation(tmp_path):
 
 
 def test_crash_during_eviction_window(tmp_path):
-    """Evict (barrier + durable spill), keep streaming, crash: recovery
-    adopts the newest checkpoint of the two."""
+    """Evict (a barrier, no spill file), keep streaming, crash: recovery
+    adopts the eviction's barrier checkpoint and replays the log past it."""
     values = make_stream()
     results: dict[int, dict] = {}
 
@@ -320,6 +323,123 @@ def test_crash_during_eviction_window(tmp_path):
     stream_range(client, "s", values, sent, N, results)
     drain(client, "s", results)
     assert_matches_reference(results, values)
+
+
+# ----------------------------------------------------------------------
+# eviction is a barrier plus a drop from memory
+# ----------------------------------------------------------------------
+def test_logged_eviction_writes_one_checkpoint_and_no_spill(tmp_path, monkeypatch):
+    """Three logged sessions over one resident slot churn through
+    eviction and rehydration: every eviction saves exactly one
+    checkpoint (its barrier), the spill directory never holds a spill
+    file, and every stream stays bitwise equal to offline ``run_stream``."""
+    service = make_service(tmp_path, max_sessions=1)
+    client = ServeClient(service)
+    saved = []
+
+    def counting_save(detector, path, durable=False):
+        saved.append(path)
+        return save_detector(detector, path, durable=durable)
+
+    monkeypatch.setattr(serve_wal, "save_detector", counting_save)
+    monkeypatch.setattr(serve_state, "save_detector", counting_save)
+    saves_per_eviction = []
+    evict = service.store.evict
+
+    def counting_evict(session):
+        before, hydrated = len(saved), session.hydrated
+        path = evict(session)
+        if hydrated:
+            saves_per_eviction.append(len(saved) - before)
+            assert path == session.wal.barrier_path
+        return path
+
+    monkeypatch.setattr(service.store, "evict", counting_evict)
+
+    streams = {f"s{k}": make_stream(seed=20 + k) for k in range(3)}
+    results = {name: {} for name in streams}
+    for name in streams:
+        assert client.create(name, spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    for lo in range(0, N, 40):
+        for name, values in streams.items():
+            stream_range(client, name, values, lo, min(lo + 40, N), results[name])
+        assert list((tmp_path / "spill").glob("session-*.ckpt")) == []
+    for name, values in streams.items():
+        drain(client, name, results[name])
+        assert_matches_reference(results[name], values)
+
+    counters = service.telemetry.as_dict()["counters"]
+    assert counters["sessions_evicted"] == len(saves_per_eviction) >= 2 * N // 40
+    assert counters["sessions_rehydrated"] >= 2 * N // 40
+    assert set(saves_per_eviction) == {1}
+    assert list((tmp_path / "wal").glob("session-*.barrier.ckpt"))
+
+
+def test_crash_right_after_eviction_recovers_from_the_barrier(tmp_path):
+    """Evict, log a few more points without scoring them, abandon the
+    service: the barrier checkpoint is the only one on disk, and
+    recovery from it plus the log tail continues bitwise."""
+    values = make_stream()
+    results: dict[int, dict] = {}
+    service = make_service(tmp_path)
+    client = ServeClient(service)
+    assert client.create("s", spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    sent = stream_range(client, "s", values, 0, 100, results)
+    reply = client.evict("s")
+    assert reply["ok"], reply
+    assert reply["spilled"] == str(service.store.get("s").wal.barrier_path)
+    reply = client.ingest("s", values[sent : sent + 13], expect=sent)
+    assert reply["ok"], reply
+    sent += 13
+    assert not service.store.get("s").hydrated  # the tail is unscored
+    del service, client
+
+    assert list((tmp_path / "spill").glob("session-*")) == []
+    restarted = make_service(tmp_path)
+    counters = restarted.telemetry.as_dict()["counters"]
+    assert counters.get("wal_recovered") == 1
+    assert counters.get("wal_replayed") == 13
+    (entry,) = restarted.run_log.entries()
+    assert entry["barrier_t"] == 99
+    client = ServeClient(restarted)
+    drain(client, "s", results)
+    stream_range(client, "s", values, sent, N, results)
+    drain(client, "s", results)
+    assert_matches_reference(results, values)
+
+
+def test_logged_stream_migrates_bitwise_and_leaves_no_checkpoint(tmp_path):
+    """A router migration of a logged stream ships its barrier
+    checkpoint: the stream continues bitwise on the target, and nothing
+    of it stays behind on the source."""
+    values = make_stream()
+    worker_config = ServeConfig(
+        max_delay_ms=5.0,
+        wal_dir="wal",  # per-worker path assigned by the router
+        wal_barrier_interval=48,
+        detector=DetectorConfig(**CONFIG),
+    )
+    router = RouterService(
+        RouterConfig(n_workers=2, spill_dir=str(tmp_path), worker=worker_config)
+    )
+    try:
+        client = ServeClient(router)
+        reply = client.create("m", spec=LABEL, n_channels=2, config=CONFIG)
+        assert reply["ok"], reply
+        source = router.workers[reply["worker"]]
+        target = 1 - source.index
+        results: dict[int, dict] = {}
+        sent = stream_range(client, "m", values, 0, 130, results)
+        outcome = router.migrate("m", target)
+        assert outcome["moved"] and outcome["seq"] == sent
+        stem = spill_filename("m").removesuffix(".ckpt")
+        assert list(source.spill_dir.rglob(f"{stem}*")) == []
+        stream_range(client, "m", values, sent, N, results)
+        drain(client, "m", results)
+        assert_matches_reference(results, values)
+        assert router.owner_of("m") == target
+    finally:
+        router.shutdown()
 
 
 def test_torn_tail_recovery(tmp_path):
