@@ -10,15 +10,15 @@ every queued point is still unscored.  The protocol, in commit order:
    scored-but-possibly-uncollected results for the block that triggered
    the swap — the one block whose delivery the swap barrier would
    otherwise strand.  The record alone commits nothing.
-2. **Checkpoint save (the commit point)** — the challenger detector is
-   saved to the session's WAL barrier slot with the same atomic
-   tempfile-plus-``os.replace`` contract as every checkpoint.  The
-   ``os.replace`` is the commit: from here on, recovery finds a
-   checkpoint whose clock reaches ``swap_t``, folds the swap record
-   into the session's open metadata (replay planning folds a swap
-   record only when the surviving checkpoint covers its ``t`` —
-   otherwise the record is an aborted intent and is ignored), re-emits
-   the record's carried results, and replays queued points through the
+2. **WAL barrier (the commit point)** — the challenger detector is
+   checkpointed by the log's ordinary
+   :meth:`~repro.serve.wal.SessionWal.barrier` (atomic, counted in
+   ``wal_barriers``).  Its ``os.replace`` is the commit: from here on,
+   recovery finds a barrier whose clock reaches ``swap_t``, folds the
+   swap record into the session's open metadata (replay planning folds
+   a swap record only when the barrier covers its ``t`` — otherwise the
+   record is an aborted intent, scrubbed before replay), re-emits the
+   record's carried results, and replays queued points through the
    challenger — exactly the post-swap behavior.
 3. **In-memory install** — the checkpoint is loaded back and becomes
    the session's detector (the promoted champion is the *round-tripped*
@@ -30,8 +30,8 @@ every queued point is still unscored.  The protocol, in commit order:
 Crash anywhere and no point is lost, doubled or reordered:
 
 - between (1) and (2): the swap record is durable but the checkpoint is
-  not — the swap **aborted**.  Recovery ignores the record, loads the
-  last pre-swap checkpoint and replays the log through the *old*
+  not — the swap **aborted**.  Recovery scrubs the record, loads the
+  last pre-swap barrier and replays the log through the *old*
   champion; the triggering block is re-scored bitwise (same state, same
   engine) and re-emitted.  The promotion simply never happened — it was
   never acknowledged anywhere user-visible.
@@ -58,11 +58,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.registry import MODEL_CLASSES, AlgorithmSpec, build_detector
 from repro.obs import NULL_TELEMETRY
 from repro.select.race import ChallengerLane
-from repro.streaming.checkpoint import (
-    load_detector,
-    peek_checkpoint,
-    save_detector,
-)
+from repro.streaming.checkpoint import load_detector, peek_checkpoint
 
 #: crash-injection hook for the mid-swap recovery tests: set the
 #: ``REPRO_SELECT_CRASH`` environment variable to ``after_checkpoint``
@@ -187,11 +183,9 @@ def hot_swap(
             }
         )
         _maybe_crash("after_record")
-        durable = wal.config.fsync != "never"
-        save_detector(lane.detector, wal.barrier_path, durable=durable)
+        wal.barrier(lane.detector)
         _maybe_crash("after_checkpoint")
         promoted = load_detector(wal.barrier_path)
-        wal.barrier_t = swap_t
     else:
         promoted = _roundtrip(lane.detector)
     old_detector = session.detector

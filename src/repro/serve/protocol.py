@@ -24,7 +24,10 @@ verbatim in the reply.  Verbs:
     Optional ``resume`` (``{"seq": N}``) opens the session from a spill
     checkpoint already placed in the server's spill directory instead of
     building a fresh detector — the receiving end of a live migration or
-    crash recovery; ``seq`` continues the source's sequence numbering.
+    crash recovery.  ``seq`` must be the checkpoint's ``t + 1`` (it
+    continues the source's numbering); any other value is refused as
+    ``bad_config`` and the file stays for a retry.  A server with a
+    write-ahead log installs the file as the log's barrier checkpoint.
     Optional ``select`` arms online algorithm selection
     (:mod:`repro.select`): ``{"challengers": ["spec", ...], "policy":
     "ewma"|"ucb", ...}`` races shadow challenger detectors over the same
@@ -60,9 +63,9 @@ verbatim in the reply.  Verbs:
     Deep introspection of one session (``stream`` required): the
     ``stats`` block plus the selection-race state when armed (champion
     and challenger lane statistics, promotion events) and the metadata
-    of every on-disk checkpoint the stream could recover from
-    (``checkpoints.barrier`` / ``checkpoints.spill`` with path, stream
-    clock ``t`` and model class).
+    of the stream's one on-disk checkpoint (``checkpoints.barrier`` with
+    a write-ahead log, else ``checkpoints.spill``: path, stream clock
+    ``t`` and model class).
 ``evict``
     Operational verb: flush then spill one session to the checkpoint
     directory (the store also evicts idle sessions on its own when over

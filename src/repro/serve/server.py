@@ -65,18 +65,8 @@ from repro.serve.state import (
     SpillCollisionError,
     UnknownSessionError,
 )
-from repro.serve.wal import (
-    SessionWal,
-    WalConfig,
-    WalCorruption,
-    plan_replay,
-    read_records,
-)
-from repro.streaming.checkpoint import (
-    load_detector,
-    peek_checkpoint,
-    transfer_checkpoint,
-)
+from repro.serve.wal import SessionWal, WalConfig, WalCorruption
+from repro.streaming.checkpoint import load_detector, peek_checkpoint
 
 
 @dataclass(frozen=True)
@@ -251,9 +241,11 @@ class DetectionService:
         ``resume`` (``{"seq": N}``) opens the session from a spill
         checkpoint already sitting in the spill directory instead of
         building a fresh detector — the receiving end of a live
-        migration or a crash recovery.  ``seq`` must be the checkpoint's
-        stream clock, so sequence numbers continue where the previous
-        process stopped.
+        migration or a crash recovery.  ``seq`` must be one past the
+        checkpoint's stream clock (``t + 1``), so sequence numbers
+        continue where the previous process stopped; anything else is
+        refused before a file moves.  With a WAL the shipped file becomes
+        the log's barrier checkpoint and leaves the spill directory.
 
         ``select`` arms online algorithm selection: challenger shadow
         lanes racing the champion, with hot-swap on a durable win — see
@@ -265,6 +257,8 @@ class DetectionService:
         recipe); an optional ``postprocess`` list of stage names adds
         PySAD-style score calibration that survives swaps.
         """
+        if scorer is None:
+            scorer = self.config.scorer
         if detector is None:
             label = spec if spec is not None else self.config.default_spec
             if label is None:
@@ -295,21 +289,14 @@ class DetectionService:
             fleet_key = (
                 label,
                 int(n_channels),
-                fingerprint_config(
-                    {
-                        "detector": detector_config,
-                        "scorer": scorer
-                        if scorer is not None
-                        else self.config.scorer,
-                    }
-                ),
+                fingerprint_config({"detector": detector_config, "scorer": scorer}),
             )
             if resume is None:
                 detector = build_detector(
                     AlgorithmSpec(*parts),
                     n_channels=int(n_channels),
                     config=detector_config,
-                    scorer=scorer if scorer is not None else self.config.scorer,
+                    scorer=scorer,
                 )
         else:
             if n_channels is None:
@@ -323,17 +310,38 @@ class DetectionService:
             spec_label = spec if spec is not None else "custom"
             fleet_key = None  # custom detectors drain alone
             detector_config = None  # not rebuildable: no WAL for this session
-        session_telemetry = (
-            Telemetry(max_events=64) if self.config.per_session_telemetry else None
-        )
+        seq = 0
         if resume is not None:
             if not isinstance(resume, dict) or "seq" not in resume:
                 raise ConfigurationError(
                     f"resume must be a dict with a 'seq' field, got {resume!r}"
                 )
             seq = int(resume["seq"])
-            if seq < 0:
-                raise ConfigurationError(f"resume seq must be >= 0, got {seq}")
+        if select is None:
+            select = self.config.select
+        race, postprocess = None, []
+        if select:
+            if detector_config is None:
+                raise ConfigurationError(
+                    "online selection requires a registry-built "
+                    "session (custom detectors have no rebuild recipe)"
+                )
+            race = build_race(
+                select,
+                champion_spec=spec_label,
+                n_channels=int(n_channels),
+                detector_config=detector_config,
+                scorer=scorer,
+                fleet_key=fleet_key,
+                at=seq,
+            )
+            postprocess = [
+                make_postprocessor(name) for name in select.get("postprocess", ())
+            ]
+        session_telemetry = (
+            Telemetry(max_events=64) if self.config.per_session_telemetry else None
+        )
+        if resume is not None:
             session = self.store.adopt(
                 stream,
                 n_channels=int(n_channels),
@@ -352,55 +360,24 @@ class DetectionService:
         session.fleet_key = fleet_key
         if self.wal_config is not None and detector_config is not None:
             wal = SessionWal(self.wal_config, stream, telemetry=self.telemetry)
-            meta = {
-                "spec": spec_label,
-                "n_channels": int(n_channels),
-                "config": dataclasses.asdict(detector_config),
-                "scorer": scorer if scorer is not None else self.config.scorer,
-            }
-            if resume is not None:
-                meta["resume_seq"] = seq
             try:
-                wal.open(meta)
-                if resume is not None:
-                    # Rehydration deletes the adopted spill file; copy it
-                    # to the barrier slot first so recovery always has a
-                    # durable anchor for the log's starting clock.
-                    transfer_checkpoint(
-                        session.spill_path, wal.barrier_path, durable=True
-                    )
-                    wal.barrier_t = seq - 1
+                wal.open(
+                    {
+                        "spec": spec_label,
+                        "n_channels": int(n_channels),
+                        "config": dataclasses.asdict(detector_config),
+                        "scorer": scorer,
+                    },
+                    checkpoint=session.spill_path,
+                )
             except ReproError:
-                session.spill_path = None  # keep an adopted checkpoint on disk
+                session.spill_path = None  # keep a shipped checkpoint on disk
                 self.store.close(stream)
                 raise
             session.wal = wal
-        if select is None:
-            select = self.config.select
-        if select:
-            try:
-                if detector_config is None:
-                    raise ConfigurationError(
-                        "online selection requires a registry-built "
-                        "session (custom detectors have no rebuild recipe)"
-                    )
-                session.race = build_race(
-                    select,
-                    champion_spec=spec_label,
-                    n_channels=int(n_channels),
-                    detector_config=detector_config,
-                    scorer=scorer if scorer is not None else self.config.scorer,
-                    fleet_key=fleet_key,
-                    at=session.seq,
-                )
-                session.postprocess = [
-                    make_postprocessor(name)
-                    for name in select.get("postprocess", ())
-                ]
-            except ReproError:
-                session.spill_path = None  # keep an adopted checkpoint on disk
-                self.store.close(stream)
-                raise
+            if resume is not None:
+                session.spill_path = wal.barrier_path
+        session.race, session.postprocess = race, postprocess
         if self.run_log is not None:
             entry: dict[str, Any] = {
                 "stream": stream,
@@ -424,12 +401,12 @@ class DetectionService:
 
         Runs at construction (before the drain thread starts) when the
         WAL is enabled.  Each orphaned log left by a crashed incarnation
-        becomes a live session again: the newest durable checkpoint
-        (barrier, or an adopted spill) is loaded, the log entries past its
-        stream clock are replayed through the ordinary ``step_chunk``
-        engine, and the results land in the session's buffer exactly as
-        if the crash never happened — unacknowledged ``score`` replies
-        are re-emitted, and clients dedup by sequence number.
+        becomes a live session again: its barrier checkpoint is loaded
+        (:meth:`SessionWal.reattach` anchors on it alone), the log entries
+        past its stream clock are replayed through the scheduler's
+        ordinary drain, and the results land in the session's buffer
+        exactly as if the crash never happened — unacknowledged ``score``
+        replies are re-emitted, and clients dedup by sequence number.
 
         A log the service cannot recover honestly (corruption, a missing
         acknowledged record) is left on disk for the operator and
@@ -457,43 +434,55 @@ class DetectionService:
 
     def _recover_stream(self, path: Path) -> str:
         """Recover one orphaned log; returns its stream id."""
-        records, good_bytes, torn = read_records(path)
-        if torn:
-            # A crash mid-append tore the tail record.  It was never
-            # acknowledged (append happens before the ack), so dropping
-            # it is correct — the client still holds the data.
-            with open(path, "rb+") as handle:
-                handle.truncate(good_bytes)
-            self.telemetry.count("wal_torn_tails")
-        if not records:
-            raise WalCorruption(f"log {path.name} has no complete records")
-        stream = records[0].get("stream")
-        if not isinstance(stream, str):
-            raise WalCorruption(f"log {path.name} names no stream id")
-        wal = SessionWal(self.wal_config, stream, telemetry=self.telemetry)
-        if wal.path != path:
-            raise WalCorruption(
-                f"log {path.name} claims stream {stream!r}, which hashes "
-                f"to {wal.path.name}"
+        wal, open_meta, blocks, dropped, torn = SessionWal.reattach(
+            self.wal_config, path, telemetry=self.telemetry
+        )
+        stream, anchor = wal.stream_id, wal.barrier_t
+        try:
+            session, stale_label = self._restore_session(wal, open_meta)
+        except BaseException:
+            wal.close(delete=False)
+            raise
+        # A crash right at a committed hot-swap boundary strands the
+        # results of the block that triggered the swap (the swap
+        # checkpoint trims it from replay) — the swap record carried
+        # them, so re-emit into the result buffer ahead of any replay.
+        reemit = []
+        if int(open_meta.get("swap_t", -2)) == anchor:
+            reemit = [dict(entry) for entry in open_meta.get("swap_results") or ()]
+        session.results.extend(reemit)
+        # Replay is an ordinary drain with the log attached (result_limit
+        # and barriers apply as in live traffic); the chunked engine's
+        # block-boundary invariance keeps it bitwise.
+        session.wal = wal
+        for _, rows in blocks:
+            session.enqueue(rows)
+        self.scheduler.flush_session(session)
+        replayed = sum(len(rows) for _, rows in blocks)
+        self.telemetry.count("wal_recovered")
+        if replayed:
+            self.telemetry.count("wal_replayed", replayed)
+        if self.run_log is not None:
+            self.run_log.log(
+                "session_recovered",
+                stream=stream,
+                spec=session.spec_label,
+                barrier_t=anchor,
+                replayed=replayed,
+                dropped=dropped,
+                torn=torn,
+                swapped=bool(open_meta.get("swapped")),
+                stale_label=stale_label,
+                reemitted=len(reemit),
             )
-        # Newest durable checkpoint wins: a barrier checkpoint and a
-        # spill can both exist (a resumed stream's adopted spill until
-        # it rehydrates); their stream clocks decide, and replay resumes
-        # at the winner's ``t + 1``.
-        ckpt_t, ckpt_path = -1, None
-        for candidate in (wal.barrier_path, self.store.spill_path_for(stream)):
-            if not candidate.exists():
-                continue
-            meta = peek_checkpoint(candidate)
-            if int(meta["t"]) > ckpt_t:
-                ckpt_t, ckpt_path = int(meta["t"]), candidate
-        open_meta, blocks, dropped = plan_replay(records, ckpt_t)
-        if blocks and blocks[0][0] != ckpt_t + 1:
-            raise WalCorruption(
-                f"log {path.name} resumes at seq {blocks[0][0]} but the "
-                f"newest checkpoint stops at t={ckpt_t}; acknowledged "
-                "entries between them are gone"
-            )
+        return stream
+
+    def _restore_session(
+        self, wal: SessionWal, open_meta: dict[str, Any]
+    ) -> tuple[DetectorSession, bool]:
+        """Register a recovered session at its log's anchor; returns it
+        and whether its checkpoint contradicts the log's recipe."""
+        name = wal.path.name
         n_channels = int(open_meta["n_channels"])
         spec_label = str(open_meta.get("spec", "custom"))
         scorer = open_meta.get("scorer")
@@ -501,12 +490,11 @@ class DetectionService:
             detector_config = DetectorConfig(**(open_meta.get("config") or {}))
         except TypeError as error:
             raise WalCorruption(
-                f"log {path.name} carries an unbuildable detector config: "
-                f"{error}"
+                f"log {name} carries an unbuildable detector config: {error}"
             ) from None
         stale_label = False
-        if ckpt_path is not None:
-            detector = load_detector(ckpt_path)
+        if wal.barrier_t >= 0:
+            detector = load_detector(wal.barrier_path)
             expected = expected_model_class(spec_label)
             actual = type(detector.model).__name__
             if expected is not None and actual != expected:
@@ -523,7 +511,7 @@ class DetectionService:
                 self.telemetry.count("wal_stale_labels")
                 self.telemetry.event(
                     "wal_stale_label",
-                    stream=stream,
+                    stream=wal.stream_id,
                     label=spec_label,
                     model=actual,
                 )
@@ -534,8 +522,8 @@ class DetectionService:
             parts = spec_label.split("+")
             if len(parts) != 3:
                 raise WalCorruption(
-                    f"log {path.name} has no checkpoint and an "
-                    f"unbuildable spec {spec_label!r}"
+                    f"log {name} has no checkpoint and an unbuildable "
+                    f"spec {spec_label!r}"
                 )
             detector = build_detector(
                 AlgorithmSpec(*parts),
@@ -544,7 +532,7 @@ class DetectionService:
                 scorer=scorer,
             )
         session = self.store.create(
-            stream,
+            wal.stream_id,
             detector,
             n_channels=n_channels,
             spec_label=spec_label,
@@ -553,74 +541,15 @@ class DetectionService:
                 if self.config.per_session_telemetry
                 else None
             ),
-            seq=ckpt_t + 1,
+            seq=wal.barrier_t + 1,
         )
-        # The eviction spill (if any) is adopted, not orphaned — keep the
-        # file (a stale checkpoint is harmless and never deleted here)
-        # but stop reporting it.
-        spill = self.store.spill_path_for(stream)
-        self.store.orphaned_spills = [
-            orphan for orphan in self.store.orphaned_spills if orphan != spill
-        ]
-        session.fleet_key = (
-            (
+        if not stale_label:
+            session.fleet_key = (
                 spec_label,
                 n_channels,
-                fingerprint_config(
-                    {"detector": detector_config, "scorer": scorer}
-                ),
+                fingerprint_config({"detector": detector_config, "scorer": scorer}),
             )
-            if not stale_label
-            else None
-        )
-        # A crash right at a committed hot-swap boundary strands the
-        # results of the block that triggered the swap (the swap
-        # checkpoint trims it from replay) — the swap record carried
-        # them, so re-emit into the result buffer ahead of any replay.
-        reemitted = 0
-        if int(open_meta.get("swap_t", -2)) == ckpt_t:
-            for entry in open_meta.get("swap_results") or ():
-                session.results.append(dict(entry))
-                reemitted += 1
-        # Replay through the normal scoring path: the chunked engine's
-        # bitwise invariance to block boundaries makes the recovered
-        # sequence identical to the uninterrupted run.
-        replayed = 0
-        for seq_from, rows in blocks:
-            if seq_from != session.seq:
-                raise WalCorruption(
-                    f"replay for {stream!r} expected seq {session.seq}, "
-                    f"log provides {seq_from}"
-                )
-            session.enqueue(rows)
-            replayed += len(rows)
-        while session.flush_once(self.config.max_batch):
-            pass
-        # Aborted swap intents (record durable, commit checkpoint not)
-        # must leave the log before any future compaction could mistake
-        # them for committed ones.
-        wal.scrub_aborted_swaps(ckpt_t)
-        wal.resume_at(ckpt_t)
-        session.wal = wal
-        if wal.due_for_barrier(session.scored):
-            wal.barrier(session.detector)
-        self.telemetry.count("wal_recovered")
-        if replayed:
-            self.telemetry.count("wal_replayed", replayed)
-        if self.run_log is not None:
-            self.run_log.log(
-                "session_recovered",
-                stream=stream,
-                spec=spec_label,
-                barrier_t=ckpt_t,
-                replayed=replayed,
-                dropped=dropped,
-                torn=torn,
-                swapped=bool(open_meta.get("swapped")),
-                stale_label=stale_label,
-                reemitted=reemitted,
-            )
-        return stream
+        return session, stale_label
 
     def ingest(
         self, stream: str, points: Any, expect: int | None = None
@@ -763,29 +692,27 @@ class DetectionService:
 
         Extends the per-session ``stats`` block with the selection-race
         state (when armed — champion and challenger lane statistics,
-        promotion history) and the metadata of every on-disk checkpoint
-        the stream could recover from, so an operator can audit a
-        champion/challenger race or a durability story without reading
-        the WAL directory by hand.
+        promotion history) and the metadata of the stream's on-disk
+        checkpoint — its WAL barrier, or its spill when it has no log —
+        so an operator can audit a champion/challenger race or a
+        durability story without reading the directories by hand.
         """
         session = self.store.get(stream)
         info = session.describe(time.monotonic())
         info["stream"] = stream
-        wal = session.wal
-        checkpoints: dict[str, Any] = {}
-        for name, path in (
-            ("barrier", wal.barrier_path if wal is not None else None),
-            ("spill", self.store.spill_path_for(stream)),
-        ):
-            if path is None or not path.exists():
-                continue
+        name, path = (
+            ("barrier", session.wal.barrier_path)
+            if session.wal is not None
+            else ("spill", self.store.spill_path_for(stream))
+        )
+        info["checkpoints"] = {}
+        if path.exists():
             meta = peek_checkpoint(path)
-            checkpoints[name] = {
+            info["checkpoints"][name] = {
                 "path": str(path),
                 "t": int(meta["t"]),
                 "model": meta.get("model"),
             }
-        info["checkpoints"] = checkpoints
         return _json_safe(info)
 
     def pump(self) -> int:

@@ -254,22 +254,6 @@ class DetectorSession:
         self.last_active = now
         return k
 
-    def flush_once(self, max_batch: int) -> int:
-        """Step up to ``max_batch`` queued points through the detector.
-
-        The coalesced block goes through one ``step_chunk`` call — the
-        chunked engine's bitwise invariance to block boundaries is what
-        makes the micro-batch size a pure throughput knob, invisible in
-        the scores.  Returns the number of points scored.
-        """
-        with self.lock:
-            prepared = self.flush_prepare(max_batch)
-            if prepared is None:
-                return 0
-            seqs, waits, block = prepared
-            result = self.detector.step_chunk(block)
-            return self.flush_finish(seqs, waits, result)
-
     def run_selection(
         self,
         block: np.ndarray,

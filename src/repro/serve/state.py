@@ -4,14 +4,16 @@ A long-lived service accumulates sessions faster than memory allows —
 every live detector carries model parameters, a training set and scorer
 history.  The store keeps at most ``max_live`` detectors hydrated; the
 least-recently-active evictable session beyond that is checkpointed —
-a WAL barrier if it has a write-ahead log, else a *spill* file written
-by :func:`~repro.streaming.checkpoint.save_detector` into the spill
-directory — and dropped from memory.  The session object itself —
-sequence numbers, queues, result buffer, telemetry — stays resident;
-only the detector is swapped out.  The next point for an evicted stream
-rehydrates it transparently, and because checkpoint round-trips are
-bitwise-exact (``tests/test_checkpoint_roundtrip.py``), an evicted and
-rehydrated session scores identically to one that never left memory.
+a WAL barrier if it has a write-ahead log (the log owns a logged
+session's one checkpoint, a resumed one's shipped file included), else
+a *spill* file written by :func:`~repro.streaming.checkpoint.save_detector`
+into the spill directory — and dropped from memory.  The session
+object itself — sequence numbers, queues, result buffer, telemetry —
+stays resident; only the detector is swapped out.  The next point for
+an evicted stream rehydrates it transparently, and because checkpoint
+round-trips are bitwise-exact (``tests/test_checkpoint_roundtrip.py``),
+an evicted and rehydrated session scores identically to one that never
+left memory.
 
 Spill files are named by a hash of the stream id (ids are caller-chosen
 and may not be filesystem-safe) and deleted on rehydrate and on close.
@@ -35,7 +37,7 @@ from repro.core.exceptions import ConfigurationError, ReproError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serve.session import DetectorSession
 from repro.serve.wal import WalConfig, wal_filename
-from repro.streaming.checkpoint import load_detector, save_detector
+from repro.streaming.checkpoint import load_detector, peek_checkpoint, save_detector
 
 
 class UnknownSessionError(ReproError):
@@ -161,6 +163,24 @@ class SessionStore:
         self._spill_claims[name] = stream_id
 
     # ------------------------------------------------------------------
+    def _register(
+        self, stream_id: str, detector, spill_path: Path | None = None, **fields
+    ) -> DetectorSession:
+        """Build a session and add it to the map (create and adopt)."""
+        session = DetectorSession(stream_id, detector, clock=self._clock, **fields)
+        session.spill_path = spill_path
+        with self._lock:
+            if stream_id in self._sessions:
+                raise DuplicateSessionError(
+                    f"stream {stream_id!r} already has an open session"
+                )
+            self._claim_spill(stream_id)
+            self._sessions[stream_id] = session
+            self.orphaned_spills = [
+                orphan for orphan in self.orphaned_spills if orphan != spill_path
+            ]
+        return session
+
     def create(
         self,
         stream_id: str,
@@ -176,22 +196,14 @@ class SessionStore:
         a stream mid-sequence with a detector already rebuilt to that
         point (WAL replay), so result sequence numbers stay continuous.
         """
-        session = DetectorSession(
+        session = self._register(
             stream_id,
             detector,
             n_channels=n_channels,
             spec_label=spec_label,
             telemetry=telemetry,
-            clock=self._clock,
             seq=seq,
         )
-        with self._lock:
-            if stream_id in self._sessions:
-                raise DuplicateSessionError(
-                    f"stream {stream_id!r} already has an open session"
-                )
-            self._claim_spill(stream_id)
-            self._sessions[stream_id] = session
         self.telemetry.count("sessions_created")
         self.enforce_capacity(protect=session)
         return session
@@ -213,7 +225,8 @@ class SessionStore:
         by this worker's previous incarnation), and rehydrates on its
         first flush.  ``seq`` must be one past the checkpoint's last
         processed index (meta ``t + 1``) so result sequence numbers
-        continue without a gap.
+        continue without a gap; any other value is refused before the
+        session exists, leaving the file in place for a corrected retry.
         """
         path = self.spill_path_for(stream_id)
         if not path.exists():
@@ -221,26 +234,22 @@ class SessionStore:
                 f"no spill checkpoint at {path} to resume stream "
                 f"{stream_id!r} from"
             )
-        session = DetectorSession(
+        t = int(peek_checkpoint(path)["t"])
+        if seq != t + 1:
+            raise ConfigurationError(
+                f"resume seq {seq} does not continue the checkpoint for "
+                f"stream {stream_id!r}, which stops at t={t} (expected "
+                f"seq {t + 1})"
+            )
+        session = self._register(
             stream_id,
             None,
+            spill_path=path,
             n_channels=n_channels,
             spec_label=spec_label,
             telemetry=telemetry,
-            clock=self._clock,
             seq=seq,
         )
-        session.spill_path = path
-        with self._lock:
-            if stream_id in self._sessions:
-                raise DuplicateSessionError(
-                    f"stream {stream_id!r} already has an open session"
-                )
-            self._claim_spill(stream_id)
-            self._sessions[stream_id] = session
-            self.orphaned_spills = [
-                orphan for orphan in self.orphaned_spills if orphan != path
-            ]
         self.telemetry.count("sessions_adopted")
         return session
 
@@ -320,7 +329,7 @@ class SessionStore:
             if session.telemetry is not None:
                 detector.telemetry = session.telemetry
             session.detector = detector
-            if session.spill_path == self.spill_path_for(session.stream_id):
+            if session.wal is None:
                 session.spill_path.unlink(missing_ok=True)
             session.spill_path = None
             session.n_rehydrations += 1
@@ -423,13 +432,15 @@ class SessionStore:
         return session
 
     def _delete_session_files(self, session: DetectorSession) -> None:
-        """Remove a closed session's spill + WAL files (the final step).
+        """Remove a closed session's spill or WAL files (the final step).
 
-        Split out so tests can inject a crash between bookkeeping and
-        deletion and assert the stream is still recoverable.
+        A logged session's checkpoint is its barrier, which the log
+        deletes after itself.  Split out so tests can inject a crash
+        between bookkeeping and deletion and assert the stream is still
+        recoverable.
         """
-        if session.spill_path is not None:
-            session.spill_path.unlink(missing_ok=True)
-            session.spill_path = None
         if session.wal is not None:
             session.wal.close(delete=True)
+        elif session.spill_path is not None:
+            session.spill_path.unlink(missing_ok=True)
+        session.spill_path = None

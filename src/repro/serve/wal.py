@@ -12,17 +12,23 @@ that gap:
   the append leaves the client holding the data (the request was never
   acknowledged), which is the client's retry case, not data loss.
 - **Checkpoint barriers bound replay.**  Every ``barrier_interval``
-  scored points the session's detector is spilled to a *barrier
-  checkpoint* (the existing atomic
-  :func:`~repro.streaming.checkpoint.save_detector`, with
-  ``durable=True`` fsync) and the log is compacted down to the entries
-  past the barrier's stream clock ``t`` — recovery never replays more
-  than one barrier interval plus whatever was in flight.
-- **Replay is the normal path.**  Recovery loads the barrier checkpoint
-  and feeds the surviving log entries through the detector's ordinary
-  ``step_chunk`` engine; the chunked engine's bitwise invariance to
-  block boundaries makes the recovered score sequence identical to an
-  uninterrupted run (``tests/test_wal.py``).
+  scored points the session's detector is saved to its *barrier
+  checkpoint* (atomic :func:`~repro.streaming.checkpoint.save_detector`,
+  fsynced unless the policy is ``never``) and the log is compacted
+  down to the entries past the barrier's stream clock ``t`` — recovery
+  never replays more than one barrier interval plus whatever was in
+  flight.
+- **One checkpoint per logged session.**  An eviction is a barrier, a
+  hot-swap commits through one, and a resumed stream's shipped
+  checkpoint is installed as the barrier before the log opens
+  (:meth:`SessionWal.open`); a fresh log removes a stale barrier.
+- **Replay is the normal path.**  Recovery (:meth:`SessionWal.reattach`)
+  anchors on the barrier alone and scrubs aborted swap intents; the
+  service then replays the surviving entries through its ordinary
+  scheduler drain (``result_limit`` and barriers included), and the
+  chunked engine's bitwise invariance to block boundaries makes the
+  recovered scores identical to an uninterrupted run
+  (``tests/test_wal.py``).
 
 File format: one log per stream (named like spill files, by a hash of
 the stream id), a sequence of length-prefixed CRC-framed pickle records
@@ -41,8 +47,8 @@ spec/config/scorer) that re-parameterize the session from that clock on
 — are detected by the length/CRC frame and truncated back to the last
 complete record; everything before the tear is intact by construction
 (records are appended, never rewritten in place).  Compaction rewrites
-the whole file via tempfile + ``os.replace``, the same atomicity
-contract as checkpoints.
+the whole file through :func:`~repro.streaming.checkpoint.atomic_write`,
+the same atomicity contract as checkpoints.
 
 fsync policy (the durability/throughput trade, per
 ``BENCH_serve.json``):
@@ -67,12 +73,10 @@ points the client believes were scored.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import pickle
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +86,13 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.streaming.checkpoint import fsync_dir, save_detector
+from repro.streaming.checkpoint import (
+    atomic_write,
+    fsync_dir,
+    peek_checkpoint,
+    save_detector,
+    transfer_checkpoint,
+)
 
 #: valid values of :attr:`WalConfig.fsync`.
 FSYNC_POLICIES = ("always", "barrier", "never")
@@ -152,7 +162,8 @@ def barrier_filename(stream_id: str) -> str:
     return f"session-{_digest(stream_id)}.barrier.ckpt"
 
 
-def _frame(payload: bytes) -> bytes:
+def _frame(record: dict[str, Any]) -> bytes:
+    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -285,7 +296,9 @@ def plan_replay(
 
 
 class SessionWal:
-    """One stream's write-ahead log + barrier checkpoint.
+    """One stream's write-ahead log + barrier checkpoint, the session's
+    only checkpoint: :meth:`barrier` writes it, :meth:`open` installs a
+    resumed stream's shipped one, :meth:`reattach` recovers from it.
 
     All mutation happens under the owning session's lock (the scheduler
     and store already serialize on it), so the log needs no lock of its
@@ -310,13 +323,14 @@ class SessionWal:
         self.path = self.dir / wal_filename(stream_id)
         self.barrier_path = self.dir / barrier_filename(stream_id)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self._durable = config.fsync != "never"
         self._handle = None
         #: stream clock of the newest barrier checkpoint (-1: none yet).
         self.barrier_t = -1
         self.n_appends = 0
 
     # ------------------------------------------------------------------
-    def open(self, meta: dict[str, Any]) -> None:
+    def open(self, meta: dict[str, Any], checkpoint: Path | None = None) -> None:
         """Start a fresh log with one ``open`` record.
 
         ``meta`` must carry everything recovery needs to rebuild the
@@ -324,6 +338,13 @@ class SessionWal:
         label, channel count, detector config dict and scorer.  An
         existing log at this path is an error — the store's recovery
         pass must adopt or discard it first.
+
+        ``checkpoint`` (a resumed stream's shipped file) is copied into
+        the barrier slot *before* the record is written, so no log exists
+        without its anchor, and removed once the record is on disk.
+        Without one, a barrier left in the slot (a crash inside an
+        earlier close of this stream id) is removed instead, so recovery
+        never anchors the new log on it.
         """
         if self.path.exists():
             raise WalError(
@@ -331,18 +352,71 @@ class SessionWal:
                 "before opening a new session on this stream id"
             )
         self.dir.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "ab")
         record = {"kind": "open", "stream": self.stream_id, **meta}
-        self._handle.write(_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)))
-        self._handle.flush()
-        if self.config.fsync != "never":
-            os.fsync(self._handle.fileno())
-            fsync_dir(self.dir)
-
-    def resume_at(self, barrier_t: int) -> None:
-        """Re-attach to an existing log after recovery replayed it."""
+        if checkpoint is None:
+            self.barrier_path.unlink(missing_ok=True)
+        else:
+            shipped = transfer_checkpoint(
+                checkpoint, self.barrier_path, durable=self._durable
+            )
+            self.barrier_t = int(shipped["t"])
+            record["resume_seq"] = self.barrier_t + 1
         self._handle = open(self.path, "ab")
-        self.barrier_t = int(barrier_t)
+        self._write(record, sync=self._durable)
+        if self._durable:
+            fsync_dir(self.dir)
+        if checkpoint is not None:
+            checkpoint.unlink(missing_ok=True)
+
+    @classmethod
+    def reattach(
+        cls,
+        config: WalConfig,
+        path: Path,
+        telemetry: Telemetry | None = None,
+    ) -> tuple["SessionWal", dict[str, Any], list[tuple[int, np.ndarray]], int, bool]:
+        """Re-attach an orphaned log left by a crashed process.
+
+        Truncates a torn tail, anchors on the barrier's clock (``-1``
+        without one), plans the replay and checks it starts right after
+        the anchor, then scrubs aborted swaps — before the caller
+        replays, since a mid-replay barrier compacts the log and folds
+        swap records by clock alone.  Returns ``(wal, open_meta, blocks,
+        dropped, torn)``, the log open for appends; raises
+        :class:`WalCorruption` on a log that cannot replay honestly.
+        """
+        records, good_bytes, torn = read_records(path)
+        if torn:
+            # A crash mid-append tore the tail record.  It was never
+            # acknowledged (append happens before the ack), so dropping
+            # it is correct — the client still holds the data.
+            with open(path, "rb+") as handle:
+                handle.truncate(good_bytes)
+            (telemetry or NULL_TELEMETRY).count("wal_torn_tails")
+        if not records:
+            raise WalCorruption(f"log {path.name} has no complete records")
+        stream = records[0].get("stream")
+        if not isinstance(stream, str):
+            raise WalCorruption(f"log {path.name} names no stream id")
+        wal = cls(config, stream, telemetry=telemetry)
+        if wal.path != path:
+            raise WalCorruption(
+                f"log {path.name} claims stream {stream!r}, which hashes "
+                f"to {wal.path.name}"
+            )
+        if wal.barrier_path.exists():
+            wal.barrier_t = int(peek_checkpoint(wal.barrier_path)["t"])
+        open_meta, blocks, dropped = plan_replay(records, wal.barrier_t)
+        start = blocks[0][0] if blocks else int(open_meta.get("resume_seq", 0))
+        if start > wal.barrier_t + 1:
+            raise WalCorruption(
+                f"log {path.name} resumes at seq {start} but its barrier "
+                f"checkpoint stops at t={wal.barrier_t}; acknowledged "
+                "entries between them are gone"
+            )
+        wal.scrub_aborted_swaps(wal.barrier_t)
+        wal._handle = open(wal.path, "ab")
+        return wal, open_meta, blocks, dropped, torn
 
     def scrub_aborted_swaps(self, barrier_t: int) -> int:
         """Remove swap records past ``barrier_t`` from the log file.
@@ -352,63 +426,52 @@ class SessionWal:
         checkpoint.  Replay planning already ignores it, but it must not
         survive on disk — a *later* barrier compaction folds swap
         records by clock alone and would resurrect the aborted recipe.
-        Called during recovery, before the log is re-attached.  Returns
-        the number of records scrubbed.
+        Returns the number of records scrubbed.
         """
         records, _, _ = read_records(self.path)
         keep = [
             record
             for record in records
-            if not (
-                record.get("kind") == "swap"
-                and int(record["t"]) > int(barrier_t)
-            )
+            if record.get("kind") != "swap" or int(record["t"]) <= barrier_t
         ]
-        scrubbed = len(records) - len(keep)
-        if not scrubbed:
-            return 0
-        durable = self.config.fsync != "never"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.dir, prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for record in keep:
-                    handle.write(
-                        _frame(
-                            pickle.dumps(
-                                record, protocol=pickle.HIGHEST_PROTOCOL
-                            )
-                        )
-                    )
-                handle.flush()
-                if durable:
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-            if durable:
-                fsync_dir(self.dir)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return scrubbed
+        if len(keep) < len(records):
+            self._rewrite(keep)
+        return len(records) - len(keep)
 
     # ------------------------------------------------------------------
-    def append(self, seq_from: int, block: np.ndarray) -> None:
-        """Log one accepted ingest block (call *before* acknowledging)."""
+    def _write(self, record: dict[str, Any], sync: bool) -> None:
+        """Append one framed record; ``sync`` fsyncs it."""
         if self._handle is None:
             raise WalError(f"log for stream {self.stream_id!r} is not open")
-        record = {
-            "kind": "ingest",
-            "seq_from": int(seq_from),
-            "rows": np.ascontiguousarray(block, dtype=np.float64),
-        }
-        self._handle.write(
-            _frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-        )
+        self._handle.write(_frame(record))
         self._handle.flush()
-        if self.config.fsync == "always":
+        if sync:
             os.fsync(self._handle.fileno())
+
+    def _rewrite(self, records: list[dict[str, Any]]) -> None:
+        """Atomically replace the log file with ``records``."""
+        if self._handle is not None:  # closed, reopened on the new file
+            self._handle.close()
+        try:
+            atomic_write(
+                self.path,
+                lambda handle: handle.writelines(map(_frame, records)),
+                durable=self._durable,
+            )
+        finally:
+            if self._handle is not None:
+                self._handle = open(self.path, "ab")
+
+    def append(self, seq_from: int, block: np.ndarray) -> None:
+        """Log one accepted ingest block (call *before* acknowledging)."""
+        self._write(
+            {
+                "kind": "ingest",
+                "seq_from": int(seq_from),
+                "rows": np.ascontiguousarray(block, dtype=np.float64),
+            },
+            sync=self.config.fsync == "always",
+        )
         self.n_appends += 1
         self.telemetry.count("wal_appends")
 
@@ -417,20 +480,15 @@ class SessionWal:
         / ``scorer`` / ``results``) — step one of the swap protocol.
 
         Fsynced under every policy but ``never``: the record must be
-        durable *before* the swap's checkpoint save (the commit point),
-        so recovery can always tell a committed swap (checkpoint covers
+        durable *before* the swap's barrier (the commit point), so
+        recovery can always tell a committed swap (checkpoint covers
         the record's ``t``) from an aborted one (it does not).  Swaps
         are rare; the extra fsync is off the steady-state hot path.
         """
-        if self._handle is None:
-            raise WalError(f"log for stream {self.stream_id!r} is not open")
-        record = {"kind": "swap", "stream": self.stream_id, **meta}
-        self._handle.write(
-            _frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        self._write(
+            {"kind": "swap", "stream": self.stream_id, **meta},
+            sync=self._durable,
         )
-        self._handle.flush()
-        if self.config.fsync != "never":
-            os.fsync(self._handle.fileno())
         self.telemetry.count("wal_swaps")
 
     # ------------------------------------------------------------------
@@ -438,11 +496,12 @@ class SessionWal:
         """Checkpoint the detector and compact the log past its clock.
 
         Two steps, each individually crash-safe, in an order that never
-        loses data: (1) spill the detector to the barrier checkpoint
-        (atomic + durable fsync), (2) rewrite the log keeping only the
-        entries past the checkpoint's ``t``.  A crash between them
-        leaves a new checkpoint and an over-long log — replay dedups the
-        already-scored entries, so the only cost is wasted replay work.
+        loses data: (1) save the detector to the barrier checkpoint
+        (atomic, fsynced unless the policy is ``never``), (2) rewrite
+        the log keeping only the entries past the checkpoint's ``t``.  A
+        crash between them leaves a new checkpoint and an over-long log
+        — replay dedups the already-scored entries, so the only cost is
+        wasted replay work.
 
         Step (2) is disk-space hygiene, not correctness — replay cost is
         bounded by the checkpoint's clock whether or not the stale
@@ -455,17 +514,16 @@ class SessionWal:
         """
         if self._handle is None:
             raise WalError(f"log for stream {self.stream_id!r} is not open")
-        durable = self.config.fsync != "never"
-        save_detector(detector, self.barrier_path, durable=durable)
+        save_detector(detector, self.barrier_path, durable=self._durable)
         t = int(detector.t)
+        self.barrier_t = t
+        self.telemetry.count("wal_barriers")
         self._handle.flush()
         if compact is None:
             compact = self._handle.tell() >= COMPACT_MIN_BYTES
         if not compact:
-            self.barrier_t = t
-            self.telemetry.count("wal_barriers")
             return 0
-        records, good, _ = read_records(self.path)
+        records, _, _ = read_records(self.path)
         if not records or records[0].get("kind") != "open":
             raise WalError(f"log {self.path} lost its open record")
         open_record = dict(records[0])
@@ -495,32 +553,7 @@ class SessionWal:
                 keep.append(record)
             else:
                 truncated += len(rows)
-        self._handle.close()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.dir, prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                for record in [open_record, *keep]:
-                    handle.write(
-                        _frame(
-                            pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-                        )
-                    )
-                handle.flush()
-                if durable:
-                    os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-            if durable:
-                fsync_dir(self.dir)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            self._handle = open(self.path, "ab")
-            raise
-        self._handle = open(self.path, "ab")
-        self.barrier_t = t
-        self.telemetry.count("wal_barriers")
+        self._rewrite([open_record, *keep])
         if truncated:
             self.telemetry.count("wal_truncated", truncated)
         return truncated
@@ -535,7 +568,9 @@ class SessionWal:
 
         Deletion is the *last* step of a session close — the caller must
         have drained buffered results first, so a crash any earlier
-        still leaves a recoverable log on disk.
+        still leaves a recoverable log on disk.  The log goes first: a
+        crash between the two unlinks leaves a barrier without a log,
+        which the next :meth:`open` of this stream id removes.
         """
         if self._handle is not None:
             self._handle.close()
@@ -543,5 +578,5 @@ class SessionWal:
         if delete:
             self.path.unlink(missing_ok=True)
             self.barrier_path.unlink(missing_ok=True)
-            if self.config.fsync != "never":
+            if self._durable:
                 fsync_dir(self.dir)

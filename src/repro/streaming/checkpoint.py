@@ -50,6 +50,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -81,6 +82,38 @@ def fsync_dir(path: str | Path) -> None:
         os.close(fd)
 
 
+def atomic_write(
+    path: str | Path, write: Callable[[BinaryIO], object], durable: bool = False
+) -> Path:
+    """Replace ``path`` with what ``write(handle)`` writes, atomically.
+
+    ``write`` fills a temporary file in the target directory, which
+    :func:`os.replace` moves over ``path``: a crash mid-write never
+    leaves a truncated file there, and a failed attempt leaves no
+    temporary file behind.  ``durable=True`` also fsyncs the file before
+    the rename and the directory after it, so the new file survives a
+    power loss, not just a process crash.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+        if durable:
+            fsync_dir(path.parent)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
 def save_detector(
     detector: StreamingAnomalyDetector,
     path: str | Path,
@@ -92,18 +125,10 @@ def save_detector(
     (library/numpy versions, stream clock, model name) so a checkpoint
     can be identified without unpickling model state.
 
-    The write is atomic: the payload is pickled to a temporary file in
-    the target directory and moved into place with :func:`os.replace`,
-    so a crash mid-write (power loss, OOM-kill during a session spill)
-    can never leave a truncated checkpoint at ``path`` — either the old
-    file survives intact or the new one is complete.
-
-    ``durable=True`` additionally fsyncs the payload before the rename
-    and the directory after it, so the checkpoint survives a power loss
-    (not just a process crash) — the contract WAL barrier checkpoints
-    and crash-recovery spills rely on.  Without it a crash right after
-    the rename can surface a zero-length or stale file once the page
-    cache is lost.
+    The write is atomic (:func:`atomic_write`): a crash mid-write can
+    never leave a truncated checkpoint at ``path``.  ``durable=True``
+    also fsyncs it, so it survives a power loss — the contract WAL
+    barrier checkpoints rely on.
     """
     from repro import __version__
 
@@ -120,23 +145,25 @@ def save_detector(
             **detector.nonconformity.describe(),
         },
     }
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    return atomic_write(
+        path,
+        lambda handle: pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL),
+        durable=durable,
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-        if durable:
-            fsync_dir(path.parent)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
-    return path
+
+
+def _read_payload(path: str | Path) -> dict:
+    """Unpickle a checkpoint payload, rejecting foreign or stale files."""
+    with open(Path(path), "rb") as handle:
+        payload = pickle.load(handle)
+    if not isinstance(payload, dict) or "detector" not in payload:
+        raise ValueError(f"{path} is not a detector checkpoint")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {payload.get('version')} is incompatible "
+            f"with library version {CHECKPOINT_VERSION}"
+        )
+    return payload
 
 
 def peek_checkpoint(path: str | Path) -> dict:
@@ -152,16 +179,7 @@ def peek_checkpoint(path: str | Path) -> dict:
         ValueError: if the file is not a checkpoint or its version is
             incompatible (same contract as :func:`load_detector`).
     """
-    with open(Path(path), "rb") as handle:
-        payload = pickle.load(handle)
-    if not isinstance(payload, dict) or "detector" not in payload:
-        raise ValueError(f"{path} is not a detector checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {payload.get('version')} is incompatible "
-            f"with library version {CHECKPOINT_VERSION}"
-        )
-    return dict(payload.get("meta", {}))
+    return dict(_read_payload(path).get("meta", {}))
 
 
 def transfer_checkpoint(
@@ -174,7 +192,7 @@ def transfer_checkpoint(
     file into the target worker's spill directory byte-for-byte, so the
     rehydrated detector is bitwise the one that was evicted.  The source
     file is validated first (version check via :func:`peek_checkpoint`)
-    and the destination write is tempfile + ``os.replace``, the same
+    and the destination write is :func:`atomic_write`, the same
     crash-safety contract as :func:`save_detector` — including the
     ``durable=True`` fsync (file + directory) for power-loss safety.
 
@@ -185,22 +203,7 @@ def transfer_checkpoint(
     meta = peek_checkpoint(src)
     data = src.read_bytes()
     dst.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=dst.parent, prefix=dst.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, dst)
-        if durable:
-            fsync_dir(dst.parent)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+    atomic_write(dst, lambda handle: handle.write(data), durable=durable)
     return meta
 
 
@@ -215,16 +218,7 @@ def load_detector(path: str | Path) -> StreamingAnomalyDetector:
         ValueError: if the file is not a detector checkpoint or was
             written by an incompatible library version.
     """
-    with open(Path(path), "rb") as handle:
-        payload = pickle.load(handle)
-    if not isinstance(payload, dict) or "detector" not in payload:
-        raise ValueError(f"{path} is not a detector checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {payload.get('version')} is incompatible "
-            f"with library version {CHECKPOINT_VERSION}"
-        )
-    detector = payload["detector"]
+    detector = _read_payload(path)["detector"]
     if not isinstance(detector, StreamingAnomalyDetector):
         raise ValueError(f"{path} does not contain a StreamingAnomalyDetector")
     return detector

@@ -43,6 +43,7 @@ from repro.select import (
     warm_start_detector,
 )
 from repro.serve import DetectionService, ServeClient, ServeConfig
+from repro.serve import wal as serve_wal
 from repro.serve.wal import SessionWal, WalConfig, plan_replay, read_records
 from repro.streaming import run_stream
 from repro.streaming.checkpoint import peek_checkpoint, save_detector
@@ -657,3 +658,60 @@ def test_sigkill_mid_swap_recovers_lossless(tmp_path, window):
             scores[swap_t + 1 :], chall_ref.scores[swap_t + 1 :]
         )
     service.shutdown()
+
+
+def test_aborted_swap_is_scrubbed_before_replay_barriers(tmp_path, monkeypatch):
+    """Replay drains through the scheduler and may take barriers, whose
+    compaction folds swap records by clock alone.  An aborted swap
+    intent must therefore be gone before replay starts: recover with a
+    compacting barrier every 8 points, and the log holds no swap record,
+    a second recovery still serves the champion, and the stream matches
+    the champion's offline run bitwise."""
+    env = dict(os.environ)
+    env["REPRO_SELECT_CRASH"] = "after_record"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("_select_crash_child.py")),
+         str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+        cwd=str(tmp_path),
+    )
+    assert proc.returncode == 42, f"{proc.stdout}\n{proc.stderr}"
+    results = {}
+    sent = 0
+    for line in (tmp_path / "results.jsonl").read_text().splitlines():
+        round_ = json.loads(line)
+        sent = round_["sent"]
+        for result in round_["results"]:
+            results[result["seq"]] = result
+    sent += child.CHUNK  # the block whose score() crashed mid-swap
+
+    def collect(client):
+        for result in client.score("s")["results"]:
+            previous = results.setdefault(result["seq"], result)
+            assert previous == result, "conflicting re-emission"
+
+    monkeypatch.setattr(serve_wal, "COMPACT_MIN_BYTES", 0)
+    service = make_service(tmp_path, wal=True, wal_barrier_interval=8)
+    counters = service.telemetry.as_dict()["counters"]
+    assert counters.get("wal_recovered") == 1, counters
+    assert counters.get("wal_barriers", 0) >= 1  # replay crossed barriers
+    session = service.store.get("s")
+    kinds = [r["kind"] for r in read_records(session.wal.path)[0]]
+    assert "swap" not in kinds
+    collect(ServeClient(service))
+    del service, session
+
+    again = make_service(tmp_path, wal=True, wal_barrier_interval=8)
+    client = ServeClient(again)
+    assert client.describe("s")["spec"] == child.SPEC
+    collect(client)
+    stream_all(client, "s", child.make_values(), start=sent, results=results)
+
+    assert sorted(results) == list(range(N)), "dropped or doubled points"
+    scores = np.array([results[i]["score"] for i in range(N)])
+    assert np.array_equal(scores, offline_reference(child.SPEC).scores)
+    again.shutdown()

@@ -29,6 +29,7 @@ from repro.core.exceptions import ReproError
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
 from repro.serve import (
+    DetectionService,
     HashRing,
     RouterConfig,
     RouterService,
@@ -36,9 +37,11 @@ from repro.serve import (
     ServeConfig,
     SessionStore,
     SpillCollisionError,
+    spill_filename,
 )
 from repro.serve import state as serve_state
 from repro.streaming import run_stream
+from repro.streaming.checkpoint import save_detector
 
 SPEC = ("ae", "sw", "kswin")
 
@@ -198,6 +201,49 @@ def test_adopt_without_a_spill_is_refused(tmp_path):
     store = SessionStore(tmp_path)
     with pytest.raises(ReproError, match="no spill checkpoint"):
         store.adopt("never-spilled", n_channels=2, seq=0)
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["spill", "wal"])
+def test_resume_seq_must_continue_the_checkpoint(tmp_path, wal):
+    """A ``resume.seq`` other than the shipped checkpoint's ``t + 1``
+    would relabel the detector's steps; it is refused as ``bad_config``
+    before any file moves, and a corrected retry continues bitwise."""
+    values = make_stream()
+    detector = build_detector(
+        AlgorithmSpec(*SPEC), n_channels=2, config=DetectorConfig(**CONFIG)
+    )
+    detector.step_chunk(values[:100])  # t = 99
+    shipped = tmp_path / "spill" / spill_filename("r")
+    shipped.parent.mkdir()
+    save_detector(detector, shipped)
+    service = DetectionService(
+        ServeConfig(
+            spill_dir=str(tmp_path / "spill"),
+            wal_dir=str(tmp_path / "wal") if wal else None,
+            detector=DetectorConfig(**CONFIG),
+        ),
+        autostart=False,
+    )
+    client = ServeClient(service)
+    fields = dict(stream="r", spec="+".join(SPEC), n_channels=2, config=CONFIG)
+
+    reply = client.request("create", resume={"seq": 40}, **fields)
+    assert not reply["ok"]
+    assert reply["error"]["type"] == "bad_config"
+    assert len(service.store) == 0
+    assert shipped.exists()
+    if wal:
+        assert list((tmp_path / "wal").iterdir()) == []
+
+    reply = client.request("create", resume={"seq": 100}, **fields)
+    assert reply["ok"] and reply["seq"] == 100, reply
+    assert client.ingest("r", values[100:105], expect=100)["ok"]
+    results = client.score("r")["results"]
+    assert [result["seq"] for result in results] == list(range(100, 105))
+    ref_scores, _ = offline_reference(SPEC, values)
+    scores = np.array([result["score"] for result in results])
+    assert np.array_equal(scores, ref_scores[100:105])
+    service.shutdown()
 
 
 def test_spill_filename_collision_is_refused(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from repro.core.config import DetectorConfig
 from repro.core.exceptions import ConfigurationError
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
+from repro.serve import server as serve_server
 from repro.serve import state as serve_state
 from repro.serve import wal as serve_wal
 from repro.serve import (
@@ -34,13 +35,18 @@ from repro.serve import (
     SessionWal,
     WalConfig,
     WalCorruption,
+    barrier_filename,
     plan_replay,
     read_records,
     spill_filename,
     wal_filename,
 )
 from repro.streaming import run_stream
-from repro.streaming.checkpoint import save_detector
+from repro.streaming.checkpoint import (
+    peek_checkpoint,
+    save_detector,
+    transfer_checkpoint,
+)
 
 SPEC = ("ae", "sw", "kswin")
 LABEL = "+".join(SPEC)
@@ -440,6 +446,175 @@ def test_logged_stream_migrates_bitwise_and_leaves_no_checkpoint(tmp_path):
         assert router.owner_of("m") == target
     finally:
         router.shutdown()
+
+
+# ----------------------------------------------------------------------
+# one checkpoint per logged session: resume, id reuse, bounded replay
+# ----------------------------------------------------------------------
+def ship_evicted_stream(tmp_path, values, results, cut=100):
+    """Serve ``values[:cut]`` under ``tmp_path / "source"``, evict, and
+    copy the barrier checkpoint into ``tmp_path / "target"``'s spill
+    directory — the router's migration leg.  Returns ``(sent, path)``."""
+    source = make_service(tmp_path / "source")
+    client = ServeClient(source)
+    assert client.create("s", spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    sent = stream_range(client, "s", values, 0, cut, results)
+    reply = client.evict("s")
+    assert reply["ok"], reply
+    shipped = tmp_path / "target" / "spill" / spill_filename("s")
+    assert int(transfer_checkpoint(reply["spilled"], shipped)["t"]) + 1 == sent
+    return sent, shipped
+
+
+def resume(client, seq):
+    return client.request(
+        "create", stream="s", spec=LABEL, n_channels=2, config=CONFIG,
+        resume={"seq": seq},
+    )
+
+
+def drain_all(client, stream, results, n):
+    """Collect until ``n`` results are in (a result_limit caps each flush)."""
+    while len(results) < n:
+        before = len(results)
+        drain(client, stream, results)
+        assert len(results) > before, "drain made no progress"
+
+
+def test_fresh_log_discards_a_stale_barrier(tmp_path, monkeypatch):
+    """A crash inside close after the log is unlinked leaves its barrier
+    behind.  A fresh session on the same stream id must not anchor its
+    recovery on that barrier: acknowledged points would be dropped as
+    already scored and their resend acknowledged as a duplicate."""
+    values = make_stream()
+    service = make_service(tmp_path)
+    client = ServeClient(service)
+    assert client.create("s", spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    stream_range(client, "s", values, 0, 100, {})
+
+    def unlink_log_then_crash(self, delete=True):
+        self.path.unlink()
+        raise RuntimeError("injected crash between the log and barrier unlinks")
+
+    monkeypatch.setattr(SessionWal, "close", unlink_log_then_crash)
+    assert not client.close("s")["ok"]  # the injected crash surfaced
+    monkeypatch.undo()
+    wal_dir = tmp_path / "wal"
+    assert (wal_dir / barrier_filename("s")).exists()
+    assert not (wal_dir / wal_filename("s")).exists()
+    del service, client
+
+    reused = make_service(tmp_path)
+    client = ServeClient(reused)
+    assert client.create("s", spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    assert client.ingest("s", values[:20], expect=0)["ok"]  # never scored
+    del reused, client
+
+    restarted = make_service(tmp_path)
+    assert restarted.store.get("s").seq == 20
+    client = ServeClient(restarted)
+    reply = client.ingest("s", values[20:40], expect=20)
+    assert reply["ok"] and "duplicate" not in reply, reply
+    results: dict[int, dict] = {}
+    drain(client, "s", results)
+    stream_range(client, "s", values, 40, N, results)
+    drain(client, "s", results)
+    assert_matches_reference(results, values)
+
+
+def test_interrupted_resume_leaves_no_session_behind(tmp_path, monkeypatch):
+    """A crash inside ``create(resume)``, right after the shipped
+    checkpoint lands in the barrier slot, was never acknowledged: the
+    restart brings back no session and no log, keeps the shipped file
+    as an orphaned spill, and a retried resume continues bitwise."""
+    values = make_stream()
+    results: dict[int, dict] = {}
+    sent, shipped = ship_evicted_stream(tmp_path, values, results)
+
+    def copy_then_crash(src, dst, durable=False):
+        meta = transfer_checkpoint(src, dst, durable=durable)
+        assert int(meta["t"]) + 1 == sent
+        raise RuntimeError("injected crash after the barrier copy")
+
+    # Patch the copy wherever the serve layer imported it.
+    for module in (serve_server, serve_wal):
+        if hasattr(module, "transfer_checkpoint"):
+            monkeypatch.setattr(module, "transfer_checkpoint", copy_then_crash)
+    target = make_service(tmp_path / "target")
+    assert not resume(ServeClient(target), sent)["ok"]
+    monkeypatch.undo()
+    assert (tmp_path / "target" / "wal" / barrier_filename("s")).exists()
+    del target
+
+    restarted = make_service(tmp_path / "target")
+    assert len(restarted.store) == 0
+    assert not (tmp_path / "target" / "wal" / wal_filename("s")).exists()
+    assert restarted.store.orphaned_spills == [shipped]
+    client = ServeClient(restarted)
+    reply = resume(client, sent)
+    assert reply["ok"] and reply["seq"] == sent, reply
+    stream_range(client, "s", values, sent, N, results)
+    drain(client, "s", results)
+    assert_matches_reference(results, values)
+
+
+def test_logged_resume_keeps_one_checkpoint(tmp_path):
+    """A logged ``create(resume)`` installs the shipped checkpoint as its
+    barrier: no spill stays behind, ``describe`` lists the barrier alone,
+    and a crash before the first flush recovers from it bitwise."""
+    values = make_stream()
+    results: dict[int, dict] = {}
+    sent, shipped = ship_evicted_stream(tmp_path, values, results)
+
+    target = make_service(tmp_path / "target")
+    client = ServeClient(target)
+    reply = resume(client, sent)
+    assert reply["ok"] and reply["seq"] == sent, reply
+    assert not shipped.exists()
+    assert list((tmp_path / "target" / "spill").glob("session-*.ckpt")) == []
+    barrier = target.store.get("s").wal.barrier_path
+    assert int(peek_checkpoint(barrier)["t"]) == sent - 1
+    checkpoints = client.describe("s")["checkpoints"]
+    assert list(checkpoints) == ["barrier"]
+    assert checkpoints["barrier"]["t"] == sent - 1
+    # in flight and unscored, then a crash before the first flush
+    assert client.ingest("s", values[sent : sent + 13], expect=sent)["ok"]
+    del target, client
+
+    restarted = make_service(tmp_path / "target")
+    counters = restarted.telemetry.as_dict()["counters"]
+    assert counters.get("wal_recovered") == 1
+    assert counters.get("wal_replayed") == 13
+    client = ServeClient(restarted)
+    drain(client, "s", results)
+    stream_range(client, "s", values, sent + 13, N, results)
+    drain(client, "s", results)
+    assert_matches_reference(results, values)
+
+
+def test_replay_honours_result_limit(tmp_path):
+    """Replay drains through the scheduler, so a full result buffer
+    stops it: recovery buffers at most ``result_limit`` results and
+    leaves the rest queued, and the stream still completes bitwise."""
+    values = make_stream()
+    service = make_service(tmp_path, result_limit=16)
+    client = ServeClient(service)
+    assert client.create("s", spec=LABEL, n_channels=2, config=CONFIG)["ok"]
+    for lo in range(0, 120, 20):  # logged, never scored
+        assert client.ingest("s", values[lo : lo + 20], expect=lo)["ok"]
+    del service, client
+
+    restarted = make_service(tmp_path, result_limit=16)
+    assert restarted.telemetry.as_dict()["counters"].get("wal_replayed") == 120
+    session = restarted.store.get("s")
+    assert session.n_results == 16
+    assert session.queue_depth == 120 - 16
+    client = ServeClient(restarted)
+    results: dict[int, dict] = {}
+    drain_all(client, "s", results, 120)
+    stream_range(client, "s", values, 120, N, results)
+    drain_all(client, "s", results, N)
+    assert_matches_reference(results, values)
 
 
 def test_torn_tail_recovery(tmp_path):
