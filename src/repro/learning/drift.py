@@ -226,17 +226,44 @@ class MuSigmaChange(DriftDetector):
         return self._sum is not None and self._ref_mean is not None
 
 
-class MuSigmaLane:
-    """Session-axis batched preview of K :class:`MuSigmaChange` detectors.
+#: Elements of one ``(K, rows, D)`` time-axis block of
+#: :class:`MuSigmaLane`: the rows per block shrink as the fleet or the
+#: feature width grows, so the lane's temporaries stay a few hundred
+#: kilobytes whatever the round's length.
+_BLOCK_ELEMENTS = 2**14
 
-    Stacks the running statistics of K detectors into ``(K, D)`` tensors
-    and replays the per-step observe + should-finetune sequence with
-    vectorized elementwise ops and row reductions.  Every operation is
-    lane-parallel over sessions — elementwise arithmetic and
-    ``mean(axis=1)`` row reductions produce the same bits as the
-    per-session scalars/1-D calls (pinned by the kernel probes in
-    ``tests/test_fleet.py``) — so a session's preview decisions are
-    bitwise the decisions the sequential path would have made.
+
+def _fold(carried: FloatArray, deltas: FloatArray) -> FloatArray:
+    """Running sums of ``deltas`` along axis 1, seeded with ``carried``.
+
+    Row ``j`` is ``carried + deltas[:, 0] + ... + deltas[:, j]``, added
+    left to right: the same additions in the same order as one ``+=``
+    per row.
+    """
+    seeded = np.concatenate((carried[:, None], deltas), axis=1)
+    return np.cumsum(seeded, axis=1)[:, 1:]
+
+
+class MuSigmaLane:
+    """Time-axis batched preview of K :class:`MuSigmaChange` detectors.
+
+    Stacks the running statistics of K detectors into ``(K, D)`` arrays
+    and replays a whole round of observe + should-finetune steps per
+    :meth:`step`, over time-axis blocks of at most
+    :data:`_BLOCK_ELEMENTS` elements:
+
+    - the running sums, sums of squares and counts are ``np.cumsum``
+      along the time axis, seeded with the sums carried from the block
+      before (:func:`_fold`), a left-to-right fold with the additions
+      of the per-step ``_sum += shifted - removed``;
+    - the moments, thresholds and ``mean``/``any`` tests are elementwise
+      ops or reductions over the contiguous ``D`` axis, which produce
+      the bits of the per-session 1-D calls.
+
+    So every decision, the committed sums and the op counters are
+    bitwise what K sequential detectors produce (pinned by the kernel
+    probes in ``tests/test_fleet.py`` and the oracle property test in
+    ``tests/test_properties.py``).
 
     The lane works on *copies*: the detectors themselves are mutated only
     by :meth:`commit`, so a session whose preview fires can simply be
@@ -245,7 +272,7 @@ class MuSigmaLane:
     An append update is replayed as a replace whose removed-side shifted
     delta is forced to ``0.0`` (``x + (a - 0.0)`` and ``x + (a*a - 0.0)``
     are bit-identical to ``x + a`` / ``x + a*a``), which keeps mixed
-    append/replace steps in one vectorized update over the shifted sums.
+    append/replace rows in one vectorized update over the shifted sums.
     """
 
     def __init__(self, detectors: list[MuSigmaChange]) -> None:
@@ -267,62 +294,104 @@ class MuSigmaLane:
         )
         self._ref_mean = np.stack([d._ref_mean for d in detectors])
         self._ref_std = np.stack([d._ref_std for d in detectors])
+        #: each detector's cached ``"mean"`` thresholds, ``(K, 3)``.
+        self._ref_means = np.array([d._ref_means for d in detectors])
+        #: rows stepped up to and including each session's stop row, and
+        #: how many of them replaced; :meth:`step` sets both.
+        self._rows = np.zeros(len(detectors), dtype=np.int64)
+        self._replaced = np.zeros(len(detectors), dtype=np.int64)
 
     def step(
         self,
-        idx: np.ndarray,
         added: FloatArray,
         removed: FloatArray,
         replaced: np.ndarray,
+        lengths: np.ndarray,
     ) -> np.ndarray:
-        """Advance sessions ``idx`` by one training-set update and return
-        their fire decisions.
+        """Replay every session's round of training-set updates; return
+        each session's first fire offset (-1 where none fires).
+
+        Session ``i`` steps rows ``0 .. lengths[i] - 1`` and stops at its
+        first fire; the lane keeps its state at that stop row for
+        :meth:`commit`.  The replay stops at the first block in which
+        every session has fired or run out of rows.
 
         Args:
-            idx: ``(n,)`` session indices to advance.
-            added: ``(n, D)`` flattened vectors entering the set.
-            removed: ``(n, D)`` evicted vectors, all-zero rows where the
-                update appends.
-            replaced: ``(n,)`` bool, True where the update replaces.
+            added: ``(K, B, ...)`` vectors entering the training sets,
+                flattened to ``D`` features per row.
+            removed: ``(K, B, ...)`` evicted vectors, all-zero rows where
+                the update appends.
+            replaced: ``(K, B)`` bool, True where the update replaces.
+            lengths: ``(K,)`` rows per session; rows past a session's
+                length are padding, computed and ignored.
         """
-        shift = self._shift[idx]
-        shifted = added - shift
-        removed = np.where(replaced[:, None], removed - shift, 0.0)
-        self._sum[idx] += shifted - removed
-        self._sumsq[idx] += shifted**2 - removed**2
-        self._count[idx] += np.where(replaced, 0.0, 1.0)
-        count = self._count[idx, None]
-        shifted_mean = self._sum[idx] / count
-        mean = shift + shifted_mean
-        variance = self._sumsq[idx] / count - shifted_mean**2
-        std = np.sqrt(np.maximum(variance, 0.0))
-        ref_mean = self._ref_mean[idx]
-        ref_std = self._ref_std[idx]
-        mean_shift = np.abs(mean - ref_mean)
-        upper = ref_std * self.std_factor
-        lower = ref_std / self.std_factor
-        if self.aggregate == "any":
-            return (
-                (mean_shift > ref_std).any(axis=1)
-                | (std > upper).any(axis=1)
-                | (std < lower).any(axis=1)
+        k, b = replaced.shape
+        added = added.reshape(k, b, -1)
+        removed = removed.reshape(k, b, -1)
+        rows = max(1, _BLOCK_ELEMENTS // (k * added.shape[2]))
+        fired_at = np.full(k, -1, dtype=np.int64)
+        alive = lengths > 0
+        for start in range(0, b, rows):
+            live = np.flatnonzero(alive)
+            if not len(live):
+                break
+            span = slice(start, start + rows)
+            shift = self._shift[live, None]
+            shifted = added[live, span] - shift
+            rep = replaced[live, span]
+            gone = np.where(rep[..., None], removed[live, span] - shift, 0.0)
+            sums = _fold(self._sum[live], shifted - gone)
+            sumsq = _fold(self._sumsq[live], shifted**2 - gone**2)
+            count = _fold(self._count[live], np.where(rep, 0.0, 1.0))
+            shifted_mean = sums / count[..., None]
+            variance = sumsq / count[..., None] - shifted_mean**2
+            std = np.sqrt(np.maximum(variance, 0.0))
+            mean = shift + shifted_mean
+            mean_shift = np.abs(mean - self._ref_mean[live, None])
+            fires = self._fires(live, mean_shift, std)
+            end = start + fires.shape[1]
+            fires &= np.arange(start, end) < lengths[live, None]
+            hit = fires.any(axis=1)
+            # Each session's stop row in the block: its first fire, else
+            # its last row, else the block's last row (carried onward).
+            last = np.where(
+                hit,
+                fires.argmax(axis=1),
+                np.minimum(lengths[live], end) - 1 - start,
             )
-        std_row = std.mean(axis=1)
+            at = np.arange(len(live))
+            self._sum[live] = sums[at, last]
+            self._sumsq[live] = sumsq[at, last]
+            self._count[live] = count[at, last]
+            fired_at[live[hit]] = start + last[hit]
+            alive[live] = ~hit & (lengths[live] > end)
+        self._rows = np.where(fired_at >= 0, fired_at + 1, lengths)
+        committed = np.arange(b) < self._rows[:, None]
+        self._replaced = (replaced & committed).sum(axis=1)
+        return fired_at
+
+    def _fires(
+        self, live: np.ndarray, mean_shift: FloatArray, std: FloatArray
+    ) -> np.ndarray:
+        """``(n, rows)`` fire decisions of sessions ``live`` from their
+        ``(n, rows, D)`` mean shifts and standard deviations."""
+        if self.aggregate == "any":
+            ref_std = self._ref_std[live, None]
+            return (
+                (mean_shift > ref_std).any(axis=2)
+                | (std > ref_std * self.std_factor).any(axis=2)
+                | (std < ref_std / self.std_factor).any(axis=2)
+            )
+        ref_std, upper, lower = self._ref_means[live].T[..., None]
+        std_row = std.mean(axis=2)
         return (
-            (mean_shift.mean(axis=1) > ref_std.mean(axis=1))
-            | (std_row > upper.mean(axis=1))
-            | (std_row < lower.mean(axis=1))
+            (mean_shift.mean(axis=2) > ref_std)
+            | (std_row > upper)
+            | (std_row < lower)
         )
 
-    def commit(
-        self,
-        k: int,
-        detector: MuSigmaChange,
-        n_added: int,
-        n_replaced: int,
-        n_checks: int,
-    ) -> None:
-        """Write session ``k``'s previewed state back into ``detector``.
+    def commit(self, k: int, detector: MuSigmaChange) -> None:
+        """Write session ``k``'s state at its stop row into ``detector``.
 
         The op counters are settled in bulk with the exact per-step
         tallies: observe adds ``2D`` additions + ``D`` multiplications
@@ -334,6 +403,9 @@ class MuSigmaLane:
         detector._sumsq = self._sumsq[k].copy()
         detector._count = int(self._count[k])
         dim = detector._sum.size
+        n_checks = int(self._rows[k])
+        n_replaced = int(self._replaced[k])
+        n_added = n_checks - n_replaced
         detector.ops.additions += (
             2 * n_added + 4 * n_replaced + n_checks
         ) * dim

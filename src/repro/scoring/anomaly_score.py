@@ -26,6 +26,16 @@ def gaussian_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _likelihoods(z: FloatArray) -> FloatArray:
+    """``1 - Q(z)`` elementwise, bitwise ``1.0 - gaussian_tail(z)`` per value.
+
+    The division, the halving and the subtraction are the scalar path's
+    IEEE operations in the same order; only ``erfc`` needs Python floats.
+    """
+    tails = [math.erfc(x) for x in (z / math.sqrt(2.0)).tolist()]
+    return 1.0 - 0.5 * np.array(tails, dtype=np.float64)
+
+
 class _ScoreRing:
     """Fixed-capacity ring of the most recent scores, oldest first.
 
@@ -302,9 +312,7 @@ class AnomalyLikelihood(AnomalyScorer):
             short_means = windows[:, self.k - self.k_short :].mean(axis=1)
             sigmas = np.maximum(windows.std(axis=1), self.min_sigma)
             z = (short_means - long_means) / sigmas
-            # erfc is evaluated per value so the bits match the scalar path.
-            for offset in range(len(rest)):
-                out[j + offset] = 1.0 - gaussian_tail(float(z[offset]))
+            out[j:] = _likelihoods(z)
             self._ring.append_block(rest)
         return out
 
@@ -365,12 +373,8 @@ class AnomalyLikelihood(AnomalyScorer):
         sigmas = np.maximum(windows.std(axis=2), min_sigma)
         z = (short_means - long_means) / sigmas
         for row, i in enumerate(lane):
-            scores = np.empty(lengths[row], dtype=np.float64)
-            # erfc per value so the bits match the scalar path.
-            for j in range(lengths[row]):
-                scores[j] = 1.0 - gaussian_tail(float(z[row, j]))
             scorers[i]._ring.append_block(arrays[i])
-            out[i] = scores
+            out[i] = _likelihoods(z[row, : lengths[row]])
         return out  # type: ignore[return-value]
 
     def snapshot(self) -> object:

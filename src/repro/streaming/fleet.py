@@ -15,10 +15,12 @@ per-step cost in Python/numpy dispatch overhead repeated K times.  The
   Task-2 strategies the fine-tune decisions are independent of the
   anomaly scores, so one drift-lane table (never, regular, μ/σ-Change,
   KSWIN) previews them before anything is committed — a
-  :class:`~repro.learning.drift.MuSigmaLane` replays observe /
-  should-finetune over ``(K, D)`` state *copies*, a
-  :class:`~repro.learning.kswin.KswinLane` over copies of the KSWIN
-  rank counters;
+  :class:`~repro.learning.drift.MuSigmaLane` replays a whole round of
+  observe / should-finetune as array ops along the time axis
+  (cumulative sums over blocks of the ``(K, B, D)`` updates, seeded
+  from ``(K, D)`` state *copies*), a
+  :class:`~repro.learning.kswin.KswinLane` steps copies of the KSWIN
+  rank counters one row at a time;
 - sessions whose preview fires *stay on the fused path*: the round-based
   drain scores fused up to each session's previewed fire offset, groups
   the co-firing sessions and runs one session-axis fused fine-tune per
@@ -126,13 +128,14 @@ class _RegularPreview(_NeverPreview):
 
 
 class _ReplayPreview(_NeverPreview):
-    """Replays each session's training-set updates through a
-    session-axis lane over state copies, stopping a session at its
-    first fire.  The decisions depend on the updates only, never on the
-    scores, so they can be previewed before anything is scored.
-    Subclasses ``open`` the lane over the round's update arrays and
-    ``step`` the sessions ``idx`` through update ``j``; the arrays are
-    dropped once the preview is done."""
+    """Replays each session's training-set updates on state copies to
+    find its first fire.  The decisions depend on the updates only,
+    never on the scores, so they can be previewed before anything is
+    scored.  The round's updates are stacked into ``(K, B, ...)`` added
+    and removed arrays and a ``(K, B)`` replaced mask, zero-padded past
+    each session's row count; subclasses ``replay`` them through their
+    lane and return the fire offsets.  The arrays are dropped once the
+    preview is done."""
 
     def __init__(self, detectors, remaining) -> None:
         super().__init__(detectors, remaining)
@@ -140,26 +143,22 @@ class _ReplayPreview(_NeverPreview):
         shape = (len(remaining), int(lengths.max())) + remaining[0][1].shape[1:]
         added = np.zeros(shape, dtype=np.float64)
         removed = np.zeros(shape, dtype=np.float64)
-        self.replaced = np.zeros(shape[:2], dtype=bool)
+        replaced = np.zeros(shape[:2], dtype=bool)
         for i, (k, windows) in enumerate(remaining):
             b = len(windows)
             added[i, :b] = windows
             rep, rem = detectors[k].train_strategy.preview_block(windows)
-            self.replaced[i, :b] = rep
+            replaced[i, :b] = rep
             removed[i, :b] = rem
-        self.lane = self.open([detectors[k] for k, _ in remaining], added, removed)
-        alive = np.ones(len(remaining), dtype=bool)
-        for j in range(shape[1]):
-            active = alive & (j < lengths)
-            if not active.any():
-                break
-            idx = np.flatnonzero(active)
-            newly = idx[self.step(idx, j, added, removed)]
-            self.fired_at[newly] = j
-            alive[newly] = False
+        self.fired_at = self.replay(
+            [detectors[k] for k, _ in remaining], added, removed, replaced, lengths
+        )
 
 
 class _MuSigmaPreview(_ReplayPreview):
+    """The whole round in one :meth:`MuSigmaLane.step`: time-axis
+    cumulative sums over the stacked updates."""
+
     @staticmethod
     def ready(det) -> bool:
         return det.drift_detector.fuse_ready
@@ -168,27 +167,20 @@ class _MuSigmaPreview(_ReplayPreview):
     def same(a: MuSigmaChange, b: MuSigmaChange) -> bool:
         return a.aggregate == b.aggregate and a.std_factor == b.std_factor
 
-    def open(self, detectors, added, removed) -> MuSigmaLane:
-        return MuSigmaLane([det.drift_detector for det in detectors])
-
-    def step(self, idx, j, added, removed) -> np.ndarray:
-        n = len(idx)
-        return self.lane.step(
-            idx,
-            added[idx, j].reshape(n, -1),
-            removed[idx, j].reshape(n, -1),
-            self.replaced[idx, j],
-        )
+    def replay(self, detectors, added, removed, replaced, lengths) -> np.ndarray:
+        self.lane = MuSigmaLane([det.drift_detector for det in detectors])
+        return self.lane.step(added, removed, replaced, lengths)
 
     def commit(self, i, det, n) -> None:
-        n_replaced = int(self.replaced[i, :n].sum())
-        self.lane.commit(i, det.drift_detector, n - n_replaced, n_replaced, n)
+        self.lane.commit(i, det.drift_detector)
 
 
 class _KswinPreview(_ReplayPreview):
     """KSWIN over a full sliding window of stream windows: every update
     replaces one window, so the rank counters stack into one
-    :class:`KswinLane`."""
+    :class:`KswinLane`, stepped one row at a time (KSWIN tends to fire a
+    few rows into a round, so a time-axis pass would mostly preview
+    rows that are never committed)."""
 
     @staticmethod
     def ready(det) -> bool:
@@ -204,16 +196,24 @@ class _KswinPreview(_ReplayPreview):
     def same(a: KSWIN, b: KSWIN) -> bool:
         return a._reference.shape == b._reference.shape
 
-    def open(self, detectors, added, removed) -> KswinLane:
-        return KswinLane(
+    def replay(self, detectors, added, removed, replaced, lengths) -> np.ndarray:
+        self.lane = KswinLane(
             [det.drift_detector for det in detectors],
             [det.t for det in detectors],
             added,
             removed,
         )
-
-    def step(self, idx, j, added, removed) -> np.ndarray:
-        return self.lane.step(idx, j)
+        fired_at = np.full(len(lengths), -1, dtype=np.int64)
+        alive = np.ones(len(lengths), dtype=bool)
+        for j in range(added.shape[1]):
+            active = alive & (j < lengths)
+            if not active.any():
+                break
+            idx = np.flatnonzero(active)
+            newly = idx[self.lane.step(idx, j)]
+            fired_at[newly] = j
+            alive[newly] = False
+        return fired_at
 
     def commit(self, i, det, n) -> None:
         self.lane.commit(i, det.drift_detector, n)

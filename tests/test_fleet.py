@@ -267,14 +267,27 @@ def test_fleet_drift_storm_other_models_bitwise(spec_tuple):
     assert manifest["finetunes_fused"] > 0
 
 
-def test_fleet_drift_storm_musigma_co_firing_bitwise():
-    """μ/σ-Change storms hitting all sessions at once fuse the fine-tunes."""
+@pytest.mark.parametrize(
+    "chunk,first,second,stagger",
+    ((16, 240, 330, 0), (64, 268, 396, 2)),
+    ids=("chunk16", "chunk64-staggered"),
+)
+def test_fleet_drift_storm_musigma_co_firing_bitwise(chunk, first, second, stagger):
+    """μ/σ-Change storms hitting all sessions at once fuse the fine-tunes.
+
+    At chunk 64 the first storm's staggered shifts make every session
+    fire in one round, after the μ/σ lane's first time-axis block: the
+    sums carried across blocks decide the fires of a co-firing fused
+    fine-tune.
+    """
+    from repro.learning.drift import _BLOCK_ELEMENTS
+
     spec = AlgorithmSpec("ae", "sw", "musigma")
     values = [_series(k).values for k in range(4)]
-    shift = [(k, 240, 6.0) for k in range(4)]
-    shift += [(k, 330, -5.0) for k in range(4)]
+    shift = [(k, first + stagger * k, 6.0) for k in range(4)]
+    shift += [(k, second + stagger * k, -5.0) for k in range(4)]
     fleet, fused_dets, ref_dets = _drain_both(
-        spec, 4, 16, values, n_steps=256, shift=shift
+        spec, 4, chunk, values, n_steps=256, shift=shift
     )
     for fused_det, ref_det in zip(fused_dets, ref_dets):
         assert state_fingerprint(fused_det) == state_fingerprint(ref_det)
@@ -282,6 +295,17 @@ def test_fleet_drift_storm_musigma_co_firing_bitwise():
     manifest = fleet.manifest()
     assert manifest["fused_fraction"] == 1.0
     assert manifest["finetunes_fused"] > 0
+    if stagger:
+        # The round of the chunk holding the first shift starts at its
+        # first row; each session's first fire there is its offset.
+        start = WARMUP + chunk * ((first - WARMUP) // chunk)
+        dim = fused_dets[0].window * fused_dets[0].n_channels
+        rows = _BLOCK_ELEMENTS // (4 * dim)
+        offsets = [
+            min(e.t for e in det.events if e.t >= start) - start
+            for det in fused_dets
+        ]
+        assert all(rows <= offset < chunk for offset in offsets), offsets
 
 
 @pytest.mark.parametrize("check_every", (1, 3))
@@ -577,6 +601,38 @@ def test_probe_row_mean_matches_per_row():
         ).tobytes()
 
 
+def test_probe_time_axis_cumsum_matches_running_sum():
+    """A seeded ``np.cumsum`` along the time axis, carried across a block
+    boundary, is the per-row ``+=`` fold bit for bit."""
+    rng = np.random.default_rng(17)
+    seed = rng.normal(size=(5, 24)) * 1e3
+    deltas = rng.normal(size=(5, 12, 24))
+    looped = seed.copy()
+    want = []
+    for j in range(12):
+        looped += deltas[:, j]
+        want.append(looped.copy())
+    blocks = []
+    carried = seed
+    for block in (deltas[:, :5], deltas[:, 5:]):
+        seeded = np.concatenate((carried[:, None], block), axis=1)
+        sums = np.cumsum(seeded, axis=1)[:, 1:]
+        blocks.append(sums)
+        carried = sums[:, -1]
+    fused = np.concatenate(blocks, axis=1)
+    assert fused.tobytes() == np.stack(want, axis=1).tobytes()
+
+
+def test_probe_time_axis_row_mean_matches_per_step():
+    """``(K, B, D).mean(axis=2)`` is the per-step ``(K, D).mean(axis=1)``."""
+    rng = np.random.default_rng(18)
+    for dim in (1, 16, 17, 144):
+        block = rng.normal(size=(6, 9, dim))
+        fused = block.mean(axis=2)
+        for j in range(9):
+            assert fused[:, j].tobytes() == block[:, j].mean(axis=1).tobytes()
+
+
 def test_probe_scatter_add_matches_per_row():
     rng = np.random.default_rng(10)
     base = rng.normal(size=(5, 12))
@@ -653,11 +709,22 @@ def test_probe_fancy_gather_minibatch():
 
 def test_probe_fleet_scorer_lane_bitwise():
     """`AnomalyLikelihood.fleet_update_batch` equals per-scorer
-    `update_batch` bitwise — ragged spans, warm-ring fallback, mixed
-    parameters — and leaves identical ring state behind."""
+    `update_batch` and the scalar `update` bitwise — ragged spans,
+    warm-ring fallback, mixed parameters, extreme ``z`` — and leaves
+    identical ring state behind."""
     import pickle
 
-    from repro.scoring.anomaly_score import AnomalyLikelihood
+    from repro.scoring.anomaly_score import (
+        AnomalyLikelihood,
+        _likelihoods,
+        gaussian_tail,
+    )
+
+    # The vectorized tail against the scalar reference where erfc
+    # saturates, at signed zeros and on a subnormal.
+    z = np.array([40.0, -40.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310])
+    want = np.array([1.0 - gaussian_tail(x) for x in z.tolist()])
+    assert _likelihoods(z).tobytes() == want.tobytes()
 
     rng = np.random.default_rng(16)
 
@@ -674,11 +741,15 @@ def test_probe_fleet_scorer_lane_bitwise():
     scorers.append(warmed(5, k=32))  # different window length
     values = [rng.normal(size=b) for b in (16, 1, 7, 16, 5, 16)]
     reference = [pickle.loads(pickle.dumps(s)) for s in scorers]
+    scalar = [pickle.loads(pickle.dumps(s)) for s in scorers]
 
     fused = AnomalyLikelihood.fleet_update_batch(scorers, values)
-    for scorer, ref, vals, out in zip(scorers, reference, values, fused):
+    for scorer, ref, one, vals, out in zip(
+        scorers, reference, scalar, values, fused
+    ):
         want = ref.update_batch(vals)
         assert out.tobytes() == want.tobytes()
+        assert out.tobytes() == np.array([one.update(v) for v in vals]).tobytes()
         assert pickle.dumps(scorer.snapshot()) == pickle.dumps(ref.snapshot())
 
 

@@ -367,3 +367,73 @@ class TestMuSigmaCachedThresholds:
             assert (mine is None) == (theirs is None)
             if mine is not None:
                 assert mine.tobytes() == theirs.tobytes()
+
+
+class TestMuSigmaLaneMatchesSequential:
+    """One time-axis :meth:`MuSigmaLane.step` per round decides, commits
+    and counts exactly as per-session ``observe`` / ``should_finetune``
+    loops, with the round spanning at least three of the lane's blocks."""
+
+    @given(
+        st.sampled_from(["mean", "any"]),
+        st.sampled_from([1.5, 2.0, 3.0]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=600, max_value=1100),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fires_state_and_ops_match_sequential(
+        self, aggregate, std_factor, k, dim, seed
+    ):
+        import copy
+
+        from repro.learning.base import Update, UpdateKind
+        from repro.learning.drift import _BLOCK_ELEMENTS, MuSigmaLane
+
+        rng = np.random.default_rng(seed)
+        rows = _BLOCK_ELEMENTS // (k * dim)
+        b = 3 * rows + int(rng.integers(0, rows + 1))
+        lengths = rng.integers(1, b + 1, size=k)
+        lengths[rng.integers(k)] = b
+        added = np.zeros((k, b, dim))
+        removed = np.zeros((k, b, dim))
+        replaced = np.zeros((k, b), dtype=bool)
+        detectors = []
+        for i in range(k):
+            detector = MuSigmaChange(aggregate=aggregate, std_factor=std_factor)
+            # Far from zero, so the shifted sums matter.
+            warm = 50.0 + rng.normal(size=(int(rng.integers(4, 41)), dim))
+            for t, vector in enumerate(warm):
+                detector.observe(Update(UpdateKind.ADDED, vector), t)
+            detector.should_finetune(len(warm), None)  # adopts the snapshot
+            detectors.append(detector)
+            # A level shift somewhere in (or past) the round, a random
+            # append/replace schedule, evicting earlier vectors.
+            round_values = 50.0 + rng.normal(size=(b, dim))
+            round_values[int(rng.integers(0, 2 * b)) :] += rng.choice([0.3, 1.0, 4.0])
+            pool = np.concatenate((warm, round_values))
+            added[i, : lengths[i]] = round_values[: lengths[i]]
+            replaced[i, : lengths[i]] = rng.random(lengths[i]) < rng.random()
+            for j in np.flatnonzero(replaced[i]):
+                removed[i, j] = pool[rng.integers(0, len(warm) + j)]
+        oracles = copy.deepcopy(detectors)
+
+        lane = MuSigmaLane(detectors)
+        fired_at = lane.step(added, removed, replaced, lengths)
+        for i, (detector, oracle) in enumerate(zip(detectors, oracles)):
+            want = -1
+            for j in range(lengths[i]):
+                if replaced[i, j]:
+                    update = Update(UpdateKind.REPLACED, added[i, j], removed[i, j])
+                else:
+                    update = Update(UpdateKind.ADDED, added[i, j])
+                oracle.observe(update, 100 + j)
+                if oracle.should_finetune(100 + j, None):
+                    want = j
+                    break
+            assert fired_at[i] == want, i
+            lane.commit(i, detector)
+            assert detector._sum.tobytes() == oracle._sum.tobytes(), i
+            assert detector._sumsq.tobytes() == oracle._sumsq.tobytes(), i
+            assert detector._count == oracle._count, i
+            assert detector.ops == oracle.ops, i
