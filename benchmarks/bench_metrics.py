@@ -3,15 +3,16 @@
 Times the threshold-swept metrics on a 10k-step synthetic series with
 both implementations:
 
-- **reference** — the historical per-threshold Python loops (one
-  confusion re-derivation, window extraction, or NAB scoring pass per
-  operating point);
+- **reference** — the per-threshold Python loops kept as test oracles in
+  ``tests/_oracles.py`` (one confusion re-derivation, window extraction,
+  or NAB scoring pass per operating point);
 - **sweep** — the shared sorted-scores core in ``repro.metrics.sweep``
   (one O(n log n) sort answers every threshold).
 
-plus the KSWIN drift-detector paths: batch (re-sort the pooled training
-set at every check) vs. incremental (rank counters over the sorted
-reference snapshot, moved by the update stream).
+plus KSWIN's two checks: batch (a detector never fed ``observe``
+re-sorts the pooled training set at every check, as Table II drives it)
+vs. incremental (rank counters over the sorted reference snapshot, moved
+by the update stream).
 
 Outputs are asserted equal — ``allclose`` at ``rtol=1e-9`` for the float
 curves and volumes, exactly for integer confusion counts and drift
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -39,12 +41,13 @@ from repro.learning.base import NO_TRAIN_SET
 from repro.metrics import (
     candidate_thresholds,
     nab_sweep,
-    nab_sweep_reference,
     range_pr_auc,
     range_pr_curve,
-    range_pr_curve_reference,
     vus,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import _oracles  # noqa: E402  (the reference loops)
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_metrics.json"
 
@@ -74,10 +77,8 @@ def _time(fn, repeats: int):
 
 
 def bench_vus(scores, labels, repeats: int) -> dict:
-    reference_s, ref = _time(
-        lambda: vus(scores, labels, backend="reference"), repeats
-    )
-    sweep_s, new = _time(lambda: vus(scores, labels, backend="sweep"), repeats)
+    reference_s, ref = _time(lambda: _oracles.vus(scores, labels), repeats)
+    sweep_s, new = _time(lambda: vus(scores, labels), repeats)
     if not (
         np.allclose(ref.pr_aucs, new.pr_aucs, rtol=1e-9)
         and np.allclose(ref.roc_aucs, new.roc_aucs, rtol=1e-9)
@@ -94,20 +95,16 @@ def bench_vus(scores, labels, repeats: int) -> dict:
 
 
 def bench_range_pr(scores, labels, repeats: int) -> dict:
-    reference_s, ref = _time(
-        lambda: range_pr_curve_reference(scores, labels), repeats
-    )
-    sweep_s, new = _time(
-        lambda: range_pr_curve(scores, labels, backend="sweep"), repeats
-    )
+    reference_s, ref = _time(lambda: _oracles.range_pr_curve(scores, labels), repeats)
+    sweep_s, new = _time(lambda: range_pr_curve(scores, labels), repeats)
     if not all(np.allclose(a, b, rtol=1e-9) for a, b in zip(ref, new)):
         raise RuntimeError("sweep range-PR curve diverged from the reference")
-    auc_ref = range_pr_auc(scores, labels, backend="reference")
-    auc_new = range_pr_auc(scores, labels, backend="sweep")
+    auc_ref = _oracles.range_pr_auc(scores, labels)
+    auc_new = range_pr_auc(scores, labels)
     if not np.isclose(auc_ref, auc_new, rtol=1e-9):
         raise RuntimeError("sweep range-PR AUC diverged from the reference")
-    best_ref = best_f1_threshold(scores, labels, backend="reference")
-    best_new = best_f1_threshold(scores, labels, backend="sweep")
+    best_ref = _oracles.best_f1_threshold(scores, labels)
+    best_new = best_f1_threshold(scores, labels)
     if best_ref != best_new:
         raise RuntimeError("sweep best-F1 threshold diverged from the reference")
     return {
@@ -122,7 +119,7 @@ def bench_range_pr(scores, labels, repeats: int) -> dict:
 def bench_nab(scores, labels, repeats: int) -> dict:
     thresholds = candidate_thresholds(scores, 50)
     reference_s, ref = _time(
-        lambda: nab_sweep_reference(scores, labels, thresholds), repeats
+        lambda: _oracles.nab_sweep(scores, labels, thresholds), repeats
     )
     sweep_s, new = _time(lambda: nab_sweep(scores, labels, thresholds), repeats)
     equal = (
@@ -146,13 +143,14 @@ def bench_nab(scores, labels, repeats: int) -> dict:
 def bench_kswin(n_steps: int, seed: int = 3) -> dict:
     """Batch vs. incremental KSWIN over one simulated update stream.
 
-    Both detectors see the same Task-1 updates; decisions must match
-    step-for-step (the counters yield the batch path's statistic bit
-    for bit).  Each loop feeds its detector the way the streaming engine
-    does: the training set is stacked only while the detector reports
-    ``needs_train_set`` (always, on the batch path) or when a fine-tune
-    fires.  Timing covers the whole loop including the counter upkeep
-    in ``observe``.
+    Both detectors see the same training sets; only the incremental one
+    is fed the Task-1 updates through ``observe``, so the other answers
+    every check in batch.  Decisions must match step-for-step (the
+    counters yield the batch path's statistic bit for bit).  Each loop
+    feeds its detector the way the streaming engine does: the training
+    set is stacked only while the detector reports ``needs_train_set``
+    (always, on the batch path) or when a fine-tune fires.  Timing covers
+    the whole loop including the counter upkeep in ``observe``.
     """
     rng = np.random.default_rng(seed)
     shape = (100, 3)  # (w, N) feature windows at the paper's w=100
@@ -163,12 +161,13 @@ def bench_kswin(n_steps: int, seed: int = 3) -> dict:
 
     def run(incremental: bool):
         strategy = SlidingWindow(capacity=400)  # paper-scale m: 40k pooled
-        detector = KSWIN(check_every=1, incremental=incremental)
+        detector = KSWIN(check_every=1)
         decisions = []
         started = time.perf_counter()
         for t, x in enumerate(stream):
             update = strategy.update(x)
-            detector.observe(update, t)
+            if incremental:
+                detector.observe(update, t)
             if detector.needs_train_set:
                 train_set = strategy.training_set()
             else:

@@ -1,17 +1,18 @@
 """Perf trajectory benchmark: sequential vs. parallel vs. vectorized paths.
 
 Times three configurations of the scaled-down Table III PCB-iForest block
-(the streaming cells whose hot path this PR vectorized):
+(the streaming cells whose hot path the node arena vectorized):
 
-- **legacy sequential** — per-tree recursive traversal
-  (``forest.use_arena = False``), one cell at a time: the pre-PR baseline;
+- **legacy sequential** — the per-tree recursive node walk kept as a test
+  oracle (``tests/_oracles.py``, ``walk_recursively``), one cell at a
+  time: the pre-arena baseline;
 - **sequential** — the vectorized node-arena hot path, one cell at a time;
 - **parallel** — the vectorized hot path fanned over a
   :class:`~repro.streaming.parallel.ParallelCorpusRunner` process pool.
 
 plus a pure model microbenchmark: recursive vs. vectorized per-tree path
 lengths for a 1k-point batch.  Results land in ``BENCH_parallel.json`` at
-the repo root so the perf trajectory is tracked from this PR forward.
+the repo root.
 
 Reading the numbers: ``hotpath_speedup`` (legacy vs. vectorized, both
 sequential) is hardware-independent; ``pool_speedup`` (sequential vs.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -40,6 +42,9 @@ from repro.datasets.corpora import make_corpus
 from repro.models.isolation import ExtendedIsolationForest
 from repro.streaming.parallel import ParallelCorpusRunner, build_cells
 from repro.streaming.runner import run_stream
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import _oracles  # noqa: E402  (the recursive node walk)
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
@@ -73,11 +78,11 @@ def _grid_cells(fast: bool):
 
 
 def _time_legacy_sequential(cells) -> float:
-    """The pre-PR baseline: recursive tree traversal, cell after cell."""
+    """The pre-arena baseline: recursive tree traversal, cell after cell."""
     started = time.perf_counter()
     for cell in cells:
         detector = cell.build()
-        detector.model.forest.use_arena = False
+        _oracles.walk_recursively(detector.model.forest)
         run_stream(detector, cell.series)
     return time.perf_counter() - started
 
@@ -125,9 +130,7 @@ def bench_iforest_batch(fast: bool) -> dict:
     points = rng.normal(size=(n_points, 8))
 
     started = time.perf_counter()
-    recursive = np.stack(
-        [[tree.path_length_recursive(p) for tree in forest.trees] for p in points]
-    )
+    recursive = _oracles.forest_depths_batch(forest, points)
     recursive_s = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -33,7 +33,6 @@ def _table3_config(args: argparse.Namespace) -> Table3Config:
         n_steps=args.steps,
         clean_prefix=args.prefix,
         seed=args.seed,
-        metrics_backend=args.metrics_backend,
         stream_chunk=args.stream_chunk,
         detector=DetectorConfig(
             window=args.window,
@@ -64,11 +63,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scorer-k", type=int, default=48, dest="scorer_k",
                         help="anomaly-score window k")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--metrics-backend", default="sweep", dest="metrics_backend",
-                        choices=("sweep", "reference"),
-                        help="curve implementation for the threshold-swept "
-                             "metrics; 'reference' runs the historical "
-                             "per-threshold loops (identical numbers, slower)")
     parser.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
                         help="worker processes for the experiment grid "
                              "(1 = sequential, -1 = all CPUs); results are "

@@ -45,36 +45,21 @@ def best_f1_threshold(
     scores: np.ndarray,
     labels: np.ndarray,
     n_thresholds: int = 40,
-    backend: str = "sweep",
 ) -> float:
     """Threshold maximizing range-based F1 over candidate quantiles.
 
     Ties break toward the *highest* threshold: the low-threshold,
     everything-is-anomalous operating point can match the F1 of a sharp
     detector under range semantics, but it is never the better report.
-
-    ``backend="sweep"`` computes every candidate's sequence counts from
-    one sorted pass; ``backend="reference"`` runs the per-threshold loop.
+    Every candidate's sequence counts come from one sorted pass.
     """
-    if backend == "sweep":
-        thresholds = candidate_thresholds(scores, n_thresholds)[::-1]
-        sweep = range_sweep(scores, labels, thresholds)
-        p, r = sweep.precisions, sweep.recalls
-        with np.errstate(invalid="ignore"):
-            f1 = np.where(p + r > 0.0, 2.0 * p * r / (p + r), 0.0)
-        # argmax keeps the first (= highest-threshold) maximizer.
-        return float(thresholds[int(np.argmax(f1))])
-    if backend != "reference":
-        raise ValueError(f"backend must be 'sweep' or 'reference', got {backend!r}")
-    best_threshold = float(scores.max()) + 1e-9
-    best_f1 = -1.0
-    for threshold in candidate_thresholds(scores, n_thresholds)[::-1]:
-        precision, recall = range_precision_recall(scores, labels, threshold)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = float(threshold)
-    return best_threshold
+    thresholds = candidate_thresholds(scores, n_thresholds)[::-1]
+    sweep = range_sweep(scores, labels, thresholds)
+    p, r = sweep.precisions, sweep.recalls
+    with np.errstate(invalid="ignore"):
+        f1 = np.where(p + r > 0.0, 2.0 * p * r / (p + r), 0.0)
+    # argmax keeps the first (= highest-threshold) maximizer.
+    return float(thresholds[int(np.argmax(f1))])
 
 
 def quantile_threshold(scores: np.ndarray, quantile: float = 0.95) -> float:
@@ -102,23 +87,21 @@ def evaluate_scores(
     n_thresholds: int = 40,
     vus_max_buffer: int = 16,
     threshold_quantile: float = 0.95,
-    backend: str = "sweep",
 ) -> MetricRow:
     """Compute all five metric columns for one score/label pair.
 
     When ``threshold`` is not given, the unsupervised
     :func:`quantile_threshold` policy picks the operating point for the
     thresholded metrics (precision, recall, NAB); AUC and VUS are
-    threshold-free.  ``backend`` selects the curve implementation for the
-    threshold-swept metrics (see :mod:`repro.metrics.sweep`).
+    threshold-free.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if threshold is None:
         threshold = quantile_threshold(scores, threshold_quantile)
     precision, recall = range_precision_recall(scores, labels, threshold)
-    auc = range_pr_auc(scores, labels, n_thresholds, backend=backend)
-    vus_result = vus(scores, labels, max_buffer=vus_max_buffer, backend=backend)
+    auc = range_pr_auc(scores, labels, n_thresholds)
+    vus_result = vus(scores, labels, max_buffer=vus_max_buffer)
     nab = nab_score(scores, labels, threshold)
     return MetricRow(
         precision=precision,
@@ -134,7 +117,6 @@ def evaluate_result(
     threshold: float | None = None,
     n_thresholds: int = 40,
     threshold_quantile: float = 0.95,
-    backend: str = "sweep",
 ) -> MetricRow:
     """Evaluate the post-warm-up region of a stream run."""
     scores, labels = result.scored_region()
@@ -143,7 +125,6 @@ def evaluate_result(
     return evaluate_scores(
         scores, labels, threshold, n_thresholds,
         threshold_quantile=threshold_quantile,
-        backend=backend,
     )
 
 

@@ -59,9 +59,7 @@ def generate_report(
     sections.append(
         "Generated by `repro.experiments.report`; synthetic corpus emulators, "
         "scaled-down parameters (see DESIGN.md). Compare *shapes* with the "
-        "paper, not absolute numbers. Threshold-swept metrics evaluated with "
-        f"the `{config.metrics_backend}` backend (see docs/architecture.md, "
-        "'Evaluation performance').\n"
+        "paper, not absolute numbers.\n"
     )
 
     log("Table I (grid enumeration)")

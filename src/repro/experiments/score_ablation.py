@@ -85,9 +85,7 @@ def run_score_ablation(
                 if isinstance(outcome, CellFailure):
                     print(f"  WARNING: cell {outcome.label} failed: {outcome.message}")
                     continue
-                metric_rows.append(
-                    evaluate_result(outcome, backend=config.metrics_backend)
-                )
+                metric_rows.append(evaluate_result(outcome))
             rows.append(
                 AblationRow(
                     scorer=scorer,

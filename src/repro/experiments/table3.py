@@ -65,9 +65,6 @@ class Table3Config:
     #: quantile of the score distribution used as the unsupervised
     #: operating point for the thresholded metrics (Prec / Rec / NAB).
     threshold_quantile: float = 0.98
-    #: curve implementation for the threshold-swept metrics: ``"sweep"``
-    #: (one sort, all thresholds) or ``"reference"`` (per-threshold loop).
-    metrics_backend: str = "sweep"
     #: ``step_chunk`` block size per stream (bitwise invariant to it).
     stream_chunk: int = 1
     detector: DetectorConfig = field(
@@ -116,11 +113,7 @@ def _row_from_grid(
             print(f"  WARNING: cell {outcome.label} failed: {outcome.message}")
             continue
         rows.append(
-            evaluate_result(
-                outcome,
-                threshold_quantile=config.threshold_quantile,
-                backend=config.metrics_backend,
-            )
+            evaluate_result(outcome, threshold_quantile=config.threshold_quantile)
         )
         n_finetunes += outcome.n_finetunes
     if not rows:

@@ -11,27 +11,27 @@ with the repeated-testing correction ``alpha* = alpha / r`` for training
 sets of ``r`` samples per channel.  For multichannel data the test runs on
 every channel independently and fires if any channel rejects.
 
-Two execution paths produce bitwise-identical decisions:
+A check reads **rank counters**: the reference snapshot is sorted once
+per fine-tune, and for each of its distinct values ``u`` the detector
+counts the current training values ``<= u`` and ``< u``.  The counters
+are kept as rank histograms (how many current values have ``p``
+reference values below them), so a Task-1 :class:`Update` moves them
+with one binary search per added or removed value, and one prefix sum
+yields both counts.  ``|F_ref - F_cur|`` is a step function that peaks
+either at a reference value or just to the left of one, so a check is
+two vectorised abs-max passes over the ``(N, U)`` counters, and it
+produces the very float :func:`ks_statistic_sorted` computes from the
+merged samples.  ``U`` counts distinct reference values: a window
+representation repeats every stream value up to ``w`` times in the
+pooled set, so under a sliding window ``U`` is about ``m + w``, not
+``m * w``.
 
-- **rank counters** (default): the reference snapshot is sorted once per
-  fine-tune, and for each of its distinct values ``u`` the detector
-  counts the current training values ``<= u`` and ``< u``.  The counters
-  are kept as rank histograms (how many current values have ``p``
-  reference values below them), so a Task-1 :class:`Update` moves them
-  with one binary search per added or removed value, and one prefix sum
-  yields both counts.  ``|F_ref - F_cur|`` is a step function that peaks
-  either at a reference value or just to the left of one, so a check is
-  two vectorised abs-max passes over the ``(N, U)`` counters, and it
-  produces the very float :func:`ks_statistic_sorted` computes from the
-  merged samples.  ``U`` counts distinct reference values: a window
-  representation repeats every stream value up to ``w`` times in the
-  pooled set, so under a sliding window ``U`` is about ``m + w``, not
-  ``m * w``.
-- **batch**: re-pool and re-sort the full training set at every check
-  (the historical behaviour).  Also the automatic fallback whenever the
-  observed update stream cannot vouch for the training set — e.g. when
-  :meth:`KSWIN.should_finetune` is called directly without feeding
-  :meth:`KSWIN.observe`, as the Table II op-count benchmark does.
+Whenever the observed update stream cannot vouch for the training set
+under test, the detector re-pools and re-sorts that set instead (the
+**batch** check), with the same decisions.  It picks that from its own
+state, e.g. when :meth:`KSWIN.should_finetune` is called directly
+without feeding :meth:`KSWIN.observe`, as the Table II op-count
+benchmark does, or after a desync.
 
 The counters trust the update stream.  The only desync they can detect
 is a size mismatch; a removed value that was never observed goes
@@ -107,7 +107,7 @@ def ks_critical_value(alpha: float, r_a: int, r_b: int, form: str = "standard") 
     return coefficient * math.sqrt((r_a + r_b) / (r_a * r_b))
 
 
-def _distinct_reference(reference: FloatArray) -> tuple[FloatArray, np.ndarray]:
+def _tie_groups(reference: FloatArray) -> tuple[FloatArray, np.ndarray]:
     """Distinct values and tie-group sizes of a row-sorted ``(N, r)`` array.
 
     One tie-group scan, O(N r).  Both results are ``(N, U)`` with ``U``
@@ -185,12 +185,6 @@ class KSWIN(DriftDetector):
         correct_alpha: apply Raab et al.'s repeated-testing correction
             ``alpha* = alpha / r``.  Disable only to demonstrate why the
             correction matters (the false-positive-rate ablation).
-        incremental: keep rank counters of the current training set over
-            the reference snapshot, moved by the :meth:`observe` update
-            stream, so a check never re-pools or sorts.  Decisions are
-            bitwise-identical to the batch path; the detector falls back
-            to batch whenever the observed stream does not match the
-            training set it is asked about.
     """
 
     name = "kswin"
@@ -201,7 +195,6 @@ class KSWIN(DriftDetector):
         critical_form: str = "standard",
         check_every: int = 1,
         correct_alpha: bool = True,
-        incremental: bool = True,
     ) -> None:
         super().__init__()
         if not 0.0 < alpha < 1.0:
@@ -212,7 +205,6 @@ class KSWIN(DriftDetector):
         self.critical_form = critical_form
         self.check_every = check_every
         self.correct_alpha = correct_alpha
-        self.incremental = incremental
         #: channel-pooled reference snapshot ``(N, r_i)``, rows sorted.
         self._reference: FloatArray | None = None
         #: ``(N, values per channel)`` of the training set the observed
@@ -283,7 +275,7 @@ class KSWIN(DriftDetector):
         return None
 
     def observe(self, update: Update, t: int) -> None:
-        if not self.incremental or update.kind is UpdateKind.UNCHANGED:
+        if update.kind is UpdateKind.UNCHANGED:
             return
         if update.added is None:
             return
@@ -337,7 +329,7 @@ class KSWIN(DriftDetector):
         elif train_set.size == 0:
             return False
         elif self._reference is None:
-            self._set_reference(train_set)
+            self._snapshot(train_set)
             return False
         if t % self.check_every != 0:
             return False
@@ -368,7 +360,7 @@ class KSWIN(DriftDetector):
         return fired
 
     def _check_batch(self, train_set: FloatArray) -> bool:
-        """Re-pool and re-sort the training set (the historical path)."""
+        """Re-pool and re-sort the training set (counters not live)."""
         assert self._reference is not None
         current = np.sort(self._per_channel(train_set), axis=1)
         if len(current) != len(self._reference):
@@ -411,16 +403,16 @@ class KSWIN(DriftDetector):
 
     def notify_finetuned(self, t: int, train_set: FloatArray) -> None:
         if train_set.size:
-            self._set_reference(train_set)
+            self._snapshot(train_set)
 
-    def _set_reference(self, train_set: FloatArray) -> None:
+    def _snapshot(self, train_set: FloatArray) -> None:
         """Snapshot ``train_set``; rebuild the counters if it is the tracked set."""
         pooled = self._per_channel(train_set)
         self._reference = np.sort(pooled, axis=1)
         if self._tracked != pooled.shape:
             self._untrack()  # the observed stream does not describe this set
             return
-        values, sizes = _distinct_reference(self._reference)
+        values, sizes = _tie_groups(self._reference)
         # The tracked set *is* the reference: the ``sizes[c, i]`` copies of
         # distinct value ``i`` have ``i`` distinct values below them and
         # ``i + 1`` at or below.

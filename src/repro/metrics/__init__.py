@@ -2,8 +2,8 @@
 
 All curve-based metrics run on the shared all-threshold sweep core in
 :mod:`repro.metrics.sweep` — one sort of the score array answers every
-threshold's confusion counts; the historical per-threshold loops are
-retained as ``*_reference`` functions and pinned by the property tests.
+threshold's confusion counts.  The property tests pin it to
+per-threshold loops kept as test oracles (``tests/_oracles.py``).
 """
 
 from repro.metrics.latency import LatencyResult, detection_latency
@@ -19,7 +19,6 @@ from repro.metrics.nab import (
     nab_score,
     nab_score_profile,
     nab_sweep,
-    nab_sweep_reference,
     scaled_sigmoid,
 )
 from repro.metrics.pointwise import (
@@ -34,10 +33,7 @@ from repro.metrics.ranged import (
     range_confusion,
     range_pr_auc,
     range_pr_curve,
-    range_pr_curve_reference,
     range_precision_recall,
-    step_pr_auc,
-    step_pr_auc_reference,
 )
 from repro.metrics.sweep import (
     PRCurve,
@@ -53,9 +49,7 @@ from repro.metrics.sweep import (
 from repro.metrics.vus import (
     VUSResult,
     buffered_label_weights,
-    buffered_label_weights_reference,
     vus,
-    weighted_curves_reference,
 )
 
 __all__ = [
@@ -74,7 +68,6 @@ __all__ = [
     "ScoreSweep",
     "VUSResult",
     "buffered_label_weights",
-    "buffered_label_weights_reference",
     "candidate_thresholds",
     "count_ge",
     "detection_latency",
@@ -83,7 +76,6 @@ __all__ = [
     "nab_score",
     "nab_score_profile",
     "nab_sweep",
-    "nab_sweep_reference",
     "point_adjusted_confusion",
     "point_adjusted_predictions",
     "pointwise_confusion",
@@ -91,14 +83,10 @@ __all__ = [
     "range_confusion",
     "range_pr_auc",
     "range_pr_curve",
-    "range_pr_curve_reference",
     "range_precision_recall",
     "range_sweep",
     "scaled_sigmoid",
     "step_auc",
-    "step_pr_auc",
-    "step_pr_auc_reference",
     "vus",
-    "weighted_curves_reference",
     "window_peaks",
 ]

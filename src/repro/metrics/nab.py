@@ -196,8 +196,8 @@ def nab_sweep(
     static intervals is two weighted suffix-sum lookups
     (:func:`repro.metrics.sweep.mass_ge`); detections and per-step false
     positives are plain ``count_ge`` queries.  Equivalent to calling
-    :func:`nab_score` per threshold (see :func:`nab_sweep_reference`),
-    in O((n + T) log n) instead of O(T · n).
+    :func:`nab_score` per threshold, in O((n + T) log n) instead of
+    O(T · n).
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -255,28 +255,4 @@ def nab_sweep(
         n_detected=detected,
         n_missed=missed,
         n_false_positive_steps=fp_steps,
-    )
-
-
-def nab_sweep_reference(
-    scores: FloatArray,
-    labels: NDArray[np.int_],
-    thresholds: FloatArray,
-    a_fp: float = 1.0,
-    a_fn: float = 1.0,
-) -> NABSweep:
-    """One :func:`nab_score` call per threshold (the pinning reference)."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    results = [
-        nab_score(scores, labels, float(t), a_fp=a_fp, a_fn=a_fn) for t in thresholds
-    ]
-    return NABSweep(
-        thresholds=thresholds,
-        scores=np.asarray([r.score for r in results]),
-        rewards=np.asarray([r.rewards for r in results]),
-        n_detected=np.asarray([r.n_detected for r in results]),
-        n_missed=np.asarray([r.n_missed for r in results]),
-        n_false_positive_steps=np.asarray(
-            [r.n_false_positive_steps for r in results]
-        ),
     )

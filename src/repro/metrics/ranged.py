@@ -13,10 +13,10 @@ precision over recall while sweeping the score threshold.
 
 The curve builders run on the shared all-threshold core in
 :mod:`repro.metrics.sweep` — one sort of the scores instead of one
-window-extraction-plus-overlap pass per threshold.  The historical
-per-threshold loop is retained as :func:`range_pr_curve_reference` (and
-the scalar :func:`range_confusion` stays the single-threshold reference);
-the property tests pin the sweep to them count-for-count.
+window-extraction-plus-overlap pass per threshold.  The scalar
+:func:`range_confusion` answers a single threshold; the property tests
+pin the sweep to it count-for-count, and to the per-threshold loop kept
+as a test oracle.
 """
 
 from __future__ import annotations
@@ -90,18 +90,12 @@ def range_pr_curve(
     scores: FloatArray,
     labels: NDArray[np.int_],
     n_thresholds: int = 50,
-    backend: str = "sweep",
 ) -> tuple[FloatArray, FloatArray, FloatArray]:
     """Range-based PR curve: ``(thresholds, precisions, recalls)``.
 
-    ``backend="sweep"`` (default) derives all thresholds' sequence counts
-    from one sorted pass (:func:`repro.metrics.sweep.range_sweep`);
-    ``backend="reference"`` runs the historical per-threshold loop.
+    All thresholds' sequence counts come from one sorted pass
+    (:func:`repro.metrics.sweep.range_sweep`).
     """
-    if backend == "reference":
-        return range_pr_curve_reference(scores, labels, n_thresholds)
-    if backend != "sweep":
-        raise ValueError(f"backend must be 'sweep' or 'reference', got {backend!r}")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     thresholds = candidate_thresholds(scores, n_thresholds)
@@ -113,75 +107,17 @@ def range_pr_curve(
     return thresholds, precisions, sweep.recalls
 
 
-def range_pr_curve_reference(
-    scores: FloatArray,
-    labels: NDArray[np.int_],
-    n_thresholds: int = 50,
-) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """Pre-sweep implementation: one window extraction per threshold."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    truth = windows_from_labels(labels)
-    thresholds = candidate_thresholds(scores, n_thresholds)
-    precisions = np.empty(thresholds.size)
-    recalls = np.empty(thresholds.size)
-    for i, threshold in enumerate(thresholds):
-        predicted = windows_from_labels((scores >= threshold).astype(int))
-        confusion = range_confusion(predicted, truth)
-        # Curve convention: an empty prediction set has precision 1 (it
-        # makes no mistakes), anchoring the high-threshold end at (0, 1).
-        precisions[i] = confusion.precision if predicted else 1.0
-        recalls[i] = confusion.recall
-    return thresholds, precisions, recalls
-
-
-def step_pr_auc(recalls: FloatArray, precisions: FloatArray) -> float:
-    """Step-integrate a PR curve whose points are ordered by descending
-    threshold (i.e. weakly increasing coverage).
-
-    Each point contributes ``(R_i - max(R_<i)) * P_i``: only *new* recall
-    counts, at the precision of the operating point that achieved it.
-    This is the average-precision convention, and it is robust to the
-    range-metric pathology where the all-positive prediction forms one
-    giant window with perfect precision and recall — that degenerate
-    point only earns whatever recall the better thresholds had not
-    already claimed.
-
-    Delegates to the vectorized :func:`repro.metrics.sweep.step_auc`;
-    the historical loop is kept as :func:`step_pr_auc_reference`.
-    """
-    return step_auc(recalls, precisions)
-
-
-def step_pr_auc_reference(recalls: FloatArray, precisions: FloatArray) -> float:
-    """Pre-sweep per-point loop (the pinning reference for ``step_pr_auc``)."""
-    recalls = np.asarray(recalls, dtype=np.float64)
-    precisions = np.asarray(precisions, dtype=np.float64)
-    if recalls.shape != precisions.shape:
-        raise ValueError("recalls and precisions must have the same shape")
-    auc = 0.0
-    best_recall = 0.0
-    for recall, precision in zip(recalls, precisions):
-        if recall > best_recall:
-            auc += (recall - best_recall) * precision
-            best_recall = recall
-    return float(auc)
-
-
 def range_pr_auc(
     scores: FloatArray,
     labels: NDArray[np.int_],
     n_thresholds: int = 50,
-    backend: str = "sweep",
 ) -> float:
     """Area under the range-based precision-recall curve.
 
     Thresholds are swept from high to low and step-integrated via
-    :func:`step_pr_auc`, so the trivial all-positive operating point
-    cannot dominate the area.
+    :func:`~repro.metrics.sweep.step_auc`, so the trivial all-positive
+    operating point cannot dominate the area.
     """
-    thresholds, precisions, recalls = range_pr_curve(
-        scores, labels, n_thresholds, backend=backend
-    )
+    thresholds, precisions, recalls = range_pr_curve(scores, labels, n_thresholds)
     order = np.argsort(thresholds)[::-1]  # descending threshold
-    return step_pr_auc(recalls[order], precisions[order])
+    return step_auc(recalls[order], precisions[order])

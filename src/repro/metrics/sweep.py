@@ -19,9 +19,9 @@ This module answers all of them from **one sort of the score array**:
   which is again two sorted-array lookups.
 
 Total cost: O((n + T) log n) for *all* T thresholds together, replacing
-the O(T · n) and O(T · windows²) loops.  The rewrites are pinned against
-the retained ``*_reference`` implementations by the property tests in
-``tests/test_sweep.py``.
+the O(T · n) and O(T · windows²) loops.  The property tests in
+``tests/test_sweep.py`` pin the rewrites to those loops, which live on as
+test oracles in ``tests/_oracles.py``.
 
 The run-count identity used throughout: position ``i`` starts a maximal
 run of ``scores >= t`` exactly when ``scores[i] >= t > scores[i-1]``
@@ -220,13 +220,17 @@ def pr_curve(
 
 
 def step_auc(recalls: FloatArray, precisions: FloatArray) -> float:
-    """Step-integrate a PR curve ordered by descending threshold.
+    """Step-integrate a PR curve ordered by descending threshold (i.e.
+    weakly increasing coverage).
 
     Each point contributes ``(R_i - max(R_<i)) * P_i``: only *new* recall
-    counts, at the precision of the operating point that achieved it (the
-    average-precision convention).  Vectorized via a running-maximum scan
-    — identical arithmetic to the historical per-point loop, kept in
-    :func:`repro.metrics.ranged.step_pr_auc_reference`.
+    counts, at the precision of the operating point that achieved it.
+    This is the average-precision convention, and it is robust to the
+    range-metric pathology where the all-positive prediction forms one
+    giant window with perfect precision and recall — that degenerate
+    point only earns whatever recall the better thresholds had not
+    already claimed.  Vectorized via a running-maximum scan, with the
+    per-point arithmetic of the loop oracle in ``tests/_oracles.py``.
     """
     recalls = np.asarray(recalls, dtype=np.float64)
     precisions = np.asarray(precisions, dtype=np.float64)

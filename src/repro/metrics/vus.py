@@ -14,13 +14,12 @@ detection — which injects the sequence-overlap information the paper
 highlights ("combines point-wise scores with the information of
 overlapping predicted and true anomaly sequences").
 
-The default backend computes every buffer's curves from **one sort of
-the score array** (:mod:`repro.metrics.sweep`): the buffered label
-weights become a weight vector, per-threshold TP/FP masses come from
-suffix-cumulative sums over the shared sorted order, and the existence
-term is a lookup against the per-window peak scores.  The historical
-per-threshold loop is retained as :func:`weighted_curves_reference` and
-the curves are pinned to it by the property tests.
+Every buffer's curves come from **one sort of the score array**
+(:mod:`repro.metrics.sweep`): the buffered label weights become a weight
+vector, per-threshold TP/FP masses come from suffix-cumulative sums over
+the shared sorted order, and the existence term is a lookup against the
+per-window peak scores.  The property tests pin the curves to a
+per-threshold loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from numpy.typing import NDArray
 from repro._compat import trapezoid
 from repro.core.types import FloatArray, windows_from_labels
 from repro.metrics.pointwise import candidate_thresholds
-from repro.metrics.ranged import step_pr_auc
-from repro.metrics.sweep import ScoreSweep, pr_curve, window_peaks
+from repro.metrics.sweep import ScoreSweep, pr_curve, step_auc, window_peaks
 
 
 def buffered_label_weights(labels: NDArray[np.int_], buffer: int) -> FloatArray:
@@ -46,8 +44,7 @@ def buffered_label_weights(labels: NDArray[np.int_], buffer: int) -> FloatArray:
 
     Vectorized: the ramp at a step depends only on its distance to the
     nearest true window, found with two sorted lookups against the window
-    boundaries — bitwise-equal to the per-window loop retained as
-    :func:`buffered_label_weights_reference`.
+    boundaries — bitwise-equal to a per-window ramp loop.
     """
     labels = np.asarray(labels)
     weights = labels.astype(np.float64).copy()
@@ -72,28 +69,6 @@ def buffered_label_weights(labels: NDArray[np.int_], buffer: int) -> FloatArray:
     return np.maximum(weights, ramp)
 
 
-def buffered_label_weights_reference(
-    labels: NDArray[np.int_], buffer: int
-) -> FloatArray:
-    """Pre-vectorization per-window ramp loop (the pinning reference)."""
-    labels = np.asarray(labels)
-    weights = labels.astype(np.float64).copy()
-    half = buffer // 2
-    if half == 0:
-        return weights
-    n = weights.size
-    for window in windows_from_labels(labels):
-        for offset in range(1, half + 1):
-            ramp = 1.0 - offset / (half + 1)
-            before = window.start - offset
-            after = window.end - 1 + offset
-            if 0 <= before < n:
-                weights[before] = max(weights[before], ramp)
-            if 0 <= after < n:
-                weights[after] = max(weights[after], ramp)
-    return weights
-
-
 @dataclass(frozen=True)
 class VUSResult:
     """VUS values plus the per-buffer AUCs they average."""
@@ -105,7 +80,7 @@ class VUSResult:
     roc_aucs: tuple[float, ...]
 
 
-def _weighted_curves_sweep(
+def _weighted_curves(
     scores: FloatArray,
     weights: FloatArray,
     thresholds: FloatArray,
@@ -125,7 +100,7 @@ def _weighted_curves_sweep(
     recalls = existence_weight * existence + (1.0 - existence_weight) * point_recall
     negative_mass = float((1.0 - weights).sum())
     fprs = curve.fp / negative_mass if negative_mass else np.zeros_like(curve.fp)
-    pr_auc = step_pr_auc(recalls, curve.precisions)
+    pr_auc = step_auc(recalls, curve.precisions)
     # The predicted set only grows as the threshold descends, so fprs and
     # recalls are already in ascending-x order.  Do NOT re-sort: exact
     # ties in fp mass can differ by 1 ulp between summation orders, and
@@ -136,52 +111,6 @@ def _weighted_curves_sweep(
     return pr_auc, roc_auc
 
 
-def weighted_curves_reference(
-    scores: FloatArray,
-    labels: NDArray[np.int_],
-    weights: FloatArray,
-    thresholds: FloatArray,
-    existence_weight: float,
-) -> tuple[float, float]:
-    """PR-AUC and ROC-AUC for one buffered weighting (per-threshold loop).
-
-    The pre-sweep implementation: re-derives the confusion masses from
-    the raw arrays at every threshold.  Retained as the pinning reference
-    for :func:`_weighted_curves_sweep`.
-    """
-    truth_windows = windows_from_labels(labels)
-    positive_mass = float(weights.sum())
-    negative_mass = float((1.0 - weights).sum())
-    precisions, recalls, tprs, fprs = [], [], [], []
-    for threshold in np.sort(thresholds)[::-1]:  # descending threshold
-        predicted = scores >= threshold
-        tp = float(weights[predicted].sum())
-        fp = float((1.0 - weights)[predicted].sum())
-        if truth_windows:
-            existence = sum(
-                1
-                for window in truth_windows
-                if predicted[window.start : window.end].any()
-            ) / len(truth_windows)
-        else:
-            existence = 0.0
-        point_recall = tp / positive_mass if positive_mass else 0.0
-        recall = (
-            existence_weight * existence + (1.0 - existence_weight) * point_recall
-        )
-        precision = tp / (tp + fp) if (tp + fp) else 1.0
-        precisions.append(precision)
-        recalls.append(recall)
-        tprs.append(recall)
-        fprs.append(fp / negative_mass if negative_mass else 0.0)
-    pr_auc = step_pr_auc(np.asarray(recalls), np.asarray(precisions))
-    # Already ascending in fpr (descending-threshold iteration); see the
-    # tie-ordering note in _weighted_curves_sweep for why sorting here
-    # would be wrong.
-    roc_auc = float(trapezoid(np.asarray(tprs), np.asarray(fprs)))
-    return pr_auc, roc_auc
-
-
 def vus(
     scores: FloatArray,
     labels: NDArray[np.int_],
@@ -189,7 +118,6 @@ def vus(
     n_buffers: int = 5,
     n_thresholds: int = 50,
     existence_weight: float = 0.5,
-    backend: str = "sweep",
 ) -> VUSResult:
     """Volume under the PR and ROC surfaces.
 
@@ -201,9 +129,6 @@ def vus(
         n_thresholds: thresholds per curve.
         existence_weight: blend between window-existence recall and
             point-wise weighted recall (0 = purely point-wise).
-        backend: ``"sweep"`` (default) shares one score sort across every
-            buffer and threshold; ``"reference"`` runs the historical
-            per-threshold loop.
 
     Returns:
         :class:`VUSResult` with both volumes and the per-buffer AUCs.
@@ -220,38 +145,26 @@ def vus(
         raise ValueError(
             f"existence_weight must be in [0, 1], got {existence_weight}"
         )
-    if backend not in ("sweep", "reference"):
-        raise ValueError(f"backend must be 'sweep' or 'reference', got {backend!r}")
     buffers = tuple(
         int(b) for b in np.unique(np.linspace(0, max_buffer, max(n_buffers, 1)))
     )
-    thresholds = candidate_thresholds(scores, n_thresholds)
-    pr_aucs, roc_aucs = [], []
-    if backend == "sweep":
-        thresholds_desc = np.sort(thresholds)[::-1]
-        sweep = ScoreSweep(scores)
-        truth_windows = windows_from_labels(labels)
-        if truth_windows:
-            peaks = np.sort(window_peaks(scores, truth_windows))
-            detected = peaks.size - np.searchsorted(peaks, thresholds_desc, side="left")
-            existence = detected / len(truth_windows)
-        else:
-            existence = np.zeros(thresholds_desc.size)
-        for buffer in buffers:
-            weights = buffered_label_weights(labels, buffer)
-            pr_auc, roc_auc = _weighted_curves_sweep(
-                scores, weights, thresholds_desc, existence, existence_weight, sweep
-            )
-            pr_aucs.append(pr_auc)
-            roc_aucs.append(roc_auc)
+    thresholds_desc = np.sort(candidate_thresholds(scores, n_thresholds))[::-1]
+    sweep = ScoreSweep(scores)
+    truth_windows = windows_from_labels(labels)
+    if truth_windows:
+        peaks = np.sort(window_peaks(scores, truth_windows))
+        detected = peaks.size - np.searchsorted(peaks, thresholds_desc, side="left")
+        existence = detected / len(truth_windows)
     else:
-        for buffer in buffers:
-            weights = buffered_label_weights_reference(labels, buffer)
-            pr_auc, roc_auc = weighted_curves_reference(
-                scores, labels, weights, thresholds, existence_weight
-            )
-            pr_aucs.append(pr_auc)
-            roc_aucs.append(roc_auc)
+        existence = np.zeros(thresholds_desc.size)
+    pr_aucs, roc_aucs = [], []
+    for buffer in buffers:
+        weights = buffered_label_weights(labels, buffer)
+        pr_auc, roc_auc = _weighted_curves(
+            scores, weights, thresholds_desc, existence, existence_weight, sweep
+        )
+        pr_aucs.append(pr_auc)
+        roc_aucs.append(roc_auc)
     return VUSResult(
         vus_pr=float(np.mean(pr_aucs)),
         vus_roc=float(np.mean(roc_aucs)),

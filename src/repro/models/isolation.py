@@ -9,12 +9,11 @@ path lengths map to scores near 1 via ``s(x) = 2^{-E(h(x)) / c(psi)}``.
 Trees are *grown* recursively (the structure and RNG consumption are
 unchanged from the original implementation) but *traversed* over a flat
 array encoding: normals, intercepts, child indices and leaf adjustments
-live in contiguous NumPy arrays, so path lengths for many points — or for
-one point across every tree of a forest — are computed by vectorized
-index-chasing instead of per-node Python recursion.  The recursive
-traversal is kept as :meth:`ExtendedIsolationTree.path_length_recursive`;
-it is the reference the array encoding is property-tested against, and
-the baseline the perf benchmarks compare to.
+of every tree of a forest live in one node arena of contiguous NumPy
+arrays, so path lengths for a batch of points across all trees are
+computed by one vectorized index-chasing descent instead of per-node
+Python recursion.  The property tests pin the arena to a recursive walk
+over the grown nodes, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -222,53 +221,6 @@ class ExtendedIsolationTree:
             raise ValueError(f"expected point of dim {self.dim}, got {x.size}")
         return x
 
-    def path_length(self, x: FloatArray) -> float:
-        """Depth at which ``x`` isolates, with the ``c(size)`` leaf adjustment."""
-        x = self._check_dim(x)
-        flat = self.flat
-        node = 0
-        depth = 0
-        while flat.left[node] >= 0:
-            proj = (x - flat.intercepts[node]) @ flat.normals[node]
-            node = flat.left[node] if proj <= 0.0 else flat.right[node]
-            depth += 1
-        return depth + float(flat.leaf_adjust[node])
-
-    def path_length_recursive(self, x: FloatArray) -> float:
-        """Reference node-object traversal (kept for tests and benchmarks)."""
-        x = self._check_dim(x)
-        node = self.root
-        depth = 0
-        while not node.is_leaf:
-            assert node.normal is not None and node.intercept is not None
-            if (x - node.intercept) @ node.normal <= 0.0:
-                node = node.left  # type: ignore[assignment]
-            else:
-                node = node.right  # type: ignore[assignment]
-            depth += 1
-        return depth + average_path_length(node.size)
-
-    def path_lengths(self, points: FloatArray) -> FloatArray:
-        """Vectorized :meth:`path_length` for ``(n, dim)`` points."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise ValueError(
-                f"expected points of dim {self.dim}, got {points.shape[1]}"
-            )
-        flat = self.flat
-        node = np.zeros(points.shape[0], dtype=np.int64)
-        depth = np.zeros(points.shape[0], dtype=np.float64)
-        active = np.flatnonzero(flat.left[node] >= 0)
-        while active.size:
-            idx = node[active]
-            proj = np.einsum(
-                "ij,ij->i", points[active] - flat.intercepts[idx], flat.normals[idx]
-            )
-            node[active] = np.where(proj <= 0.0, flat.left[idx], flat.right[idx])
-            depth[active] += 1.0
-            active = active[flat.left[node[active]] >= 0]
-        return depth + flat.leaf_adjust[node]
-
     def n_nodes(self) -> int:
         """Total node count (diagnostics)."""
         return self.flat.n_nodes
@@ -280,8 +232,7 @@ class ExtendedIsolationForest:
     Scoring runs over a node *arena* — the array encodings of every tree
     concatenated — so one point's per-tree depths come from a single
     vectorized descent across all trees, and batches descend all
-    (point, tree) pairs at once.  Set ``use_arena = False`` to fall back
-    to per-tree recursive traversal (the pre-vectorization baseline).
+    (point, tree) pairs at once.
 
     Args:
         n_trees: ensemble size.
@@ -305,7 +256,6 @@ class ExtendedIsolationForest:
         self.n_trees = n_trees
         self.subsample = subsample
         self.extension_level = extension_level
-        self.use_arena = True
         self._rng = np.random.default_rng(seed)
         self._trees: list[ExtendedIsolationTree] = []
         self._arena: _Arena | None = None
@@ -354,8 +304,6 @@ class ExtendedIsolationForest:
         if not self._trees:
             raise NotFittedError("forest used before fit")
         x = self._trees[0]._check_dim(x)
-        if not self.use_arena:
-            return np.array([tree.path_length_recursive(x) for tree in self._trees])
         arena = self._ensure_arena()
         points = np.broadcast_to(x, (arena.roots.size, x.size))
         return arena.descend(points, arena.roots.copy())
@@ -370,8 +318,6 @@ class ExtendedIsolationForest:
                 f"expected points of dim {self._trees[0].dim}, "
                 f"got {points.shape[1]}"
             )
-        if not self.use_arena:
-            return np.stack([self.depths(p) for p in points])
         arena = self._ensure_arena()
         n_points = points.shape[0]
         n_trees = arena.roots.size

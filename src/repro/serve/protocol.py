@@ -45,11 +45,14 @@ verbatim in the reply.  Verbs:
     block the session already assigned — a retry of an acknowledged
     request whose reply was lost — is re-acknowledged with
     ``duplicate: true`` instead of scored twice, and an ``expect``
-    ahead of the session is rejected (``bad_points``).  When the server
+    ahead of the session is rejected (``bad_points``).  ``expect`` must
+    be a non-negative integer (``bad_request`` otherwise).  An empty
+    ``points`` list is acknowledged as ``accepted: 0``.  When the server
     runs a write-ahead log, the block is logged durably *before* the
     acknowledgement.
 ``score``
-    Collect scored results: ``max`` bounds the reply size, ``flush``
+    Collect scored results: ``max`` (a non-negative integer; anything
+    else is ``bad_request`` and pops nothing) bounds the reply size, ``flush``
     (default true) synchronously drains the session's queue first so a
     client that just ingested can read every score without waiting for
     the micro-batch delay.  Results are ``{seq, score, nonconformity,
@@ -87,6 +90,7 @@ bitwise-equivalence guarantee holds through the protocol layer.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any
 
 from repro.core.exceptions import ReproError
@@ -108,6 +112,9 @@ OPS = (
 
 #: verbs that do not address a single session.
 _STREAMLESS_OPS = ("stats", "ping", "shutdown")
+
+#: optional count fields per verb: a non-negative integer when present.
+_COUNT_FIELDS = {"ingest": "expect", "score": "max"}
 
 #: ``error.type`` values a client can dispatch on.
 ERROR_TYPES = (
@@ -160,8 +167,9 @@ def parse_request(message: dict[str, Any]) -> dict[str, Any]:
     """Validate a request envelope; return it with defaults normalized.
 
     Raises:
-        ProtocolError: on a missing/unsupported version, unknown verb, or
-            a session verb without a ``stream`` id.
+        ProtocolError: on a missing/unsupported version, unknown verb, a
+            session verb without a ``stream`` id, or an ``ingest.expect``
+            / ``score.max`` that is not a non-negative integer.
     """
     version = message.get("v")
     if version != PROTOCOL_VERSION:
@@ -178,6 +186,15 @@ def parse_request(message: dict[str, Any]) -> dict[str, Any]:
             raise ProtocolError(f"op {op!r} requires a non-empty 'stream' id")
     elif stream is not None and not isinstance(stream, str):
         raise ProtocolError("'stream' must be a string when present")
+    field = _COUNT_FIELDS.get(op)
+    value = message.get(field) if field else None
+    # bool is an Integral subclass, and a float like 4.9 would truncate.
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
+    ):
+        raise ProtocolError(
+            f"{op} '{field}' must be a non-negative integer, got {value!r}"
+        )
     return message
 
 

@@ -163,7 +163,10 @@ class DetectorSession:
         """
         block = np.asarray(points, dtype=np.float64)
         if block.ndim == 1:
-            block = block[:, None] if self.n_channels == 1 else block[None, :]
+            if block.size == 0:  # an empty payload, for any channel count
+                block = block.reshape(0, self.n_channels)
+            else:
+                block = block[:, None] if self.n_channels == 1 else block[None, :]
         if block.ndim != 2 or block.shape[1] != self.n_channels:
             raise StreamError(
                 f"stream {self.stream_id!r} expects (B, {self.n_channels}) "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import quantile_threshold
-from repro.metrics import step_pr_auc
+from repro.metrics import step_auc
 
 
 class TestQuantileThreshold:
@@ -30,14 +30,14 @@ class TestQuantileThreshold:
 class TestStepPRAUC:
     def test_perfect_single_jump(self):
         # One operating point reaches recall 1 at precision 1.
-        assert step_pr_auc(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == 1.0
+        assert step_auc(np.array([0.0, 1.0]), np.array([1.0, 1.0])) == 1.0
 
     def test_all_positive_point_does_not_dominate(self):
         # A sharp detector gets recall 0.8 at precision 0.9; the trailing
         # degenerate point reaches recall 1 at "perfect" range precision.
         recalls = np.array([0.0, 0.8, 1.0])
         precisions = np.array([1.0, 0.9, 1.0])
-        auc = step_pr_auc(recalls, precisions)
+        auc = step_auc(recalls, precisions)
         assert auc == pytest.approx(0.8 * 0.9 + 0.2 * 1.0)
 
     def test_recall_regressions_ignored(self):
@@ -45,7 +45,7 @@ class TestStepPRAUC:
         # not subtract area.
         recalls = np.array([0.0, 0.6, 0.4, 0.8])
         precisions = np.array([1.0, 0.5, 0.9, 0.5])
-        auc = step_pr_auc(recalls, precisions)
+        auc = step_auc(recalls, precisions)
         assert auc == pytest.approx(0.6 * 0.5 + 0.2 * 0.5)
 
     def test_bounded_by_one(self):
@@ -53,11 +53,11 @@ class TestStepPRAUC:
         for _ in range(20):
             recalls = np.sort(rng.uniform(size=10))
             precisions = rng.uniform(size=10)
-            assert 0.0 <= step_pr_auc(recalls, precisions) <= 1.0
+            assert 0.0 <= step_auc(recalls, precisions) <= 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            step_pr_auc(np.zeros(3), np.zeros(4))
+            step_auc(np.zeros(3), np.zeros(4))
 
 
 class TestKSWINAlphaCorrectionFlag:

@@ -27,6 +27,13 @@ class TestAveragePathLength:
         assert average_path_length(1000) < 2 * np.log(1000)
 
 
+def _one_tree_forest(tree):
+    """A forest scoring through ``tree`` alone."""
+    forest = ExtendedIsolationForest(n_trees=1)
+    forest.trees = [tree]
+    return forest
+
+
 class TestExtendedIsolationTree:
     def test_single_point_is_leaf(self, rng):
         tree = ExtendedIsolationTree(np.zeros((1, 3)), rng)
@@ -38,13 +45,13 @@ class TestExtendedIsolationTree:
 
     def test_path_length_positive(self, rng):
         data = rng.normal(size=(100, 2))
-        tree = ExtendedIsolationTree(data, rng)
-        assert tree.path_length(data[0]) > 0
+        forest = _one_tree_forest(ExtendedIsolationTree(data, rng))
+        assert forest.depths(data[0])[0] > 0
 
     def test_wrong_dim_rejected(self, rng):
-        tree = ExtendedIsolationTree(rng.normal(size=(10, 3)), rng)
+        forest = _one_tree_forest(ExtendedIsolationTree(rng.normal(size=(10, 3)), rng))
         with pytest.raises(ValueError):
-            tree.path_length(np.zeros(4))
+            forest.depths(np.zeros(4))
 
     def test_empty_data_rejected(self, rng):
         with pytest.raises(ValueError):

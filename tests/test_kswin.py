@@ -189,17 +189,20 @@ class TestKSStatisticSorted:
         assert ks_statistic_sorted(np.sort(a), np.sort(b)) == ks_statistic(a, b)
 
 
-def _drive(detector, strategy, stream):
+def _drive(detector, strategy, stream, observe=True):
     """Run one detector over a Task-1 update stream; return its decisions.
 
     Checks start once the training set is full, as in the real pipeline —
     a reference snapshotted from a near-empty set makes the corrected
-    critical value exceed 1 and the detector can never fire.
+    critical value exceed 1 and the detector can never fire.  With
+    ``observe=False`` the detector never sees the updates, so every check
+    re-pools the training set: the batch oracle, as Table II drives it.
     """
     decisions = []
     for t, x in enumerate(stream):
         update = strategy.update(x, score=float(abs(x).mean()))
-        detector.observe(update, t)
+        if observe:
+            detector.observe(update, t)
         train_set = strategy.training_set()
         if not strategy.is_full:
             decisions.append(False)
@@ -232,11 +235,9 @@ class TestKSWINIncremental:
             rng.normal(size=shape) + (3.0 if t > 120 else 0.0) for t in range(220)
         ]
         batch = _drive(
-            KSWIN(incremental=False), _make_strategy(strategy_name, 24, 5), stream
+            KSWIN(), _make_strategy(strategy_name, 24, 5), stream, observe=False
         )
-        incremental = _drive(
-            KSWIN(incremental=True), _make_strategy(strategy_name, 24, 5), stream
-        )
+        incremental = _drive(KSWIN(), _make_strategy(strategy_name, 24, 5), stream)
         assert incremental == batch
         if strategy_name == "sw":
             # The sliding window fully turns over after the shift, so the
@@ -252,14 +253,14 @@ class TestKSWINIncremental:
         stream = [
             np.asarray([float(v), float((v * 7) % 5)]) for v in value_stream
         ]
-        batch = _drive(KSWIN(incremental=False), SlidingWindow(6), stream)
-        incremental = _drive(KSWIN(incremental=True), SlidingWindow(6), stream)
+        batch = _drive(KSWIN(), SlidingWindow(6), stream, observe=False)
+        incremental = _drive(KSWIN(), SlidingWindow(6), stream)
         assert incremental == batch
 
     def test_rank_counters_mirror_training_set(self):
         rng = np.random.default_rng(2)
         strategy = SlidingWindow(10)
-        detector = KSWIN(incremental=True)
+        detector = KSWIN()
         for t in range(40):
             update = strategy.update(rng.normal(size=(4, 2)))
             detector.observe(update, t)
@@ -270,7 +271,7 @@ class TestKSWINIncremental:
     def test_without_observe_falls_back_to_batch(self, rng):
         # Direct should_finetune calls (as the Table II benchmark makes)
         # never build incremental state, and keep working.
-        detector = KSWIN(incremental=True)
+        detector = KSWIN()
         detector.should_finetune(0, rng.normal(size=(20, 8, 3)))
         assert detector._tracked is None and detector._ranks is None
         assert detector.needs_train_set
@@ -280,7 +281,7 @@ class TestKSWINIncremental:
         # If the training set the detector is asked about does not match
         # the observed stream (size mismatch), the batch path answers.
         strategy = SlidingWindow(8)
-        detector = KSWIN(incremental=True)
+        detector = KSWIN()
         for t in range(12):
             detector.observe(strategy.update(rng.normal(size=(4, 2))), t)
         detector.should_finetune(0, rng.normal(size=(30, 4, 2)))
@@ -288,15 +289,15 @@ class TestKSWINIncremental:
 
     def test_incremental_counts_fewer_comparisons(self, rng):
         stream = [rng.normal(size=(6, 2)) for _ in range(80)]
-        batch_det = KSWIN(incremental=False)
-        incr_det = KSWIN(incremental=True)
-        _drive(batch_det, SlidingWindow(16), stream)
+        batch_det = KSWIN()
+        incr_det = KSWIN()
+        _drive(batch_det, SlidingWindow(16), stream, observe=False)
         _drive(incr_det, SlidingWindow(16), stream)
         assert incr_det.ops.comparisons < batch_det.ops.comparisons
 
     def test_reset_clears_incremental_state(self, rng):
         strategy = SlidingWindow(8)
-        detector = KSWIN(incremental=True)
+        detector = KSWIN()
         for t in range(10):
             detector.observe(strategy.update(rng.normal(size=(4, 2))), t)
         detector.notify_finetuned(9, strategy.training_set())

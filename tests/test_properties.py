@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from repro.core.config import DetectorConfig
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
@@ -189,9 +190,9 @@ class TestRingBufferMatchesStackSemantics:
 
 
 class TestFlatTreeMatchesRecursive:
-    """Array-encoded traversal must agree with the reference recursive
-    traversal node-for-node: identical branch decisions, identical
-    depths, for single points, batches and whole forests."""
+    """The arena traversal must agree with the recursive node walk in
+    ``_oracles``: identical branch decisions, identical depths, for
+    single points, batches and whole forests."""
 
     @given(
         st.integers(min_value=2, max_value=200),
@@ -200,16 +201,18 @@ class TestFlatTreeMatchesRecursive:
     )
     @settings(max_examples=40, deadline=None)
     def test_tree_depths_match(self, n_samples, dim, seed):
-        from repro.models.isolation import ExtendedIsolationTree
+        from repro.models.isolation import ExtendedIsolationForest, ExtendedIsolationTree
 
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n_samples, dim))
         tree = ExtendedIsolationTree(data, np.random.default_rng(seed + 1))
+        forest = ExtendedIsolationForest(n_trees=1)
+        forest.trees = [tree]
         queries = rng.normal(size=(16, dim))
-        recursive = np.array([tree.path_length_recursive(q) for q in queries])
-        iterative = np.array([tree.path_length(q) for q in queries])
-        batch = tree.path_lengths(queries)
-        np.testing.assert_array_equal(iterative, recursive)
+        recursive = np.array([_oracles.path_length(tree, q) for q in queries])
+        single = np.array([forest.depths(q)[0] for q in queries])
+        batch = forest.depths_batch(queries)[:, 0]
+        np.testing.assert_array_equal(single, recursive)
         np.testing.assert_array_equal(batch, recursive)
 
     @given(
@@ -227,22 +230,9 @@ class TestFlatTreeMatchesRecursive:
         queries = rng.normal(size=(8, 3))
         arena_batch = forest.depths_batch(queries)
         for i, query in enumerate(queries):
-            recursive = np.array(
-                [tree.path_length_recursive(query) for tree in forest.trees]
-            )
+            recursive = _oracles.forest_depths(forest, query)
             np.testing.assert_array_equal(forest.depths(query), recursive)
             np.testing.assert_array_equal(arena_batch[i], recursive)
-
-    def test_use_arena_toggle_is_equivalent(self, rng):
-        from repro.models.isolation import ExtendedIsolationForest
-
-        data = rng.normal(size=(200, 4))
-        forest = ExtendedIsolationForest(n_trees=10, subsample=64, seed=0).fit(data)
-        queries = rng.normal(size=(20, 4))
-        vectorized = forest.depths_batch(queries)
-        forest.use_arena = False
-        legacy = forest.depths_batch(queries)
-        np.testing.assert_array_equal(vectorized, legacy)
 
     def test_arena_invalidated_when_trees_replaced(self, rng):
         from repro.models.isolation import ExtendedIsolationForest
@@ -255,9 +245,7 @@ class TestFlatTreeMatchesRecursive:
         ]
         after = forest.depths(data[0])
         assert after.shape == before.shape
-        recursive = np.array(
-            [tree.path_length_recursive(data[0]) for tree in forest.trees]
-        )
+        recursive = _oracles.forest_depths(forest, data[0])
         np.testing.assert_array_equal(after, recursive)
 
 

@@ -160,6 +160,17 @@ class TestDispatch:
             service.ingest("s", block)  # direct in-process API
         assert service.store.get("s").queue_depth == 0
 
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_empty_ingest_is_a_no_op(self, n_channels):
+        service, client = make_service()
+        client.create("s", n_channels=n_channels)
+        reply = client.ingest("s", [])
+        assert reply["ok"], reply
+        assert (reply["accepted"], reply["seq_from"], reply["seq_to"]) == (0, None, None)
+        assert service.store.get("s").queue_depth == 0
+        reply = client.ingest("s", points(2, n_channels=n_channels))
+        assert (reply["seq_from"], reply["seq_to"]) == (0, 1)
+
     def test_unknown_stream_everywhere(self):
         _, client = make_service()
         for verb in ("ingest", "score", "evict", "close"):
@@ -181,6 +192,50 @@ class TestDispatch:
         assert rollup["points_ingested"] == 5
         assert rollup["points_scored"] == 5
         assert rollup["steps"] == 5  # per-session detector telemetry merged
+
+
+class TestCountFields:
+    """``ingest.expect`` and ``score.max`` are non-negative integers,
+    checked in :func:`parse_request` — the edge both the service and the
+    router parse every request with — before anything is enqueued or
+    popped."""
+
+    @pytest.mark.parametrize("op, field", [("ingest", "expect"), ("score", "max")])
+    @pytest.mark.parametrize("value", [4.9, 2.0, True, "2", -1, [2]])
+    def test_parse_refuses_non_integers(self, op, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            parse_request({"v": 1, "op": op, "stream": "s", field: value})
+
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), None])
+    def test_parse_keeps_integers(self, value):
+        for op, field in (("ingest", "expect"), ("score", "max")):
+            request = {"v": 1, "op": op, "stream": "s", field: value}
+            assert parse_request(request)[field] is value
+
+    @pytest.mark.parametrize("expect", [4.9, True, "4", -1])
+    def test_ingest_refuses_non_integer_expect(self, expect):
+        # Truncating 4.9 to 4 would re-acknowledge the new point as a
+        # duplicate of seq 4, and it would never be scored.
+        service, client = make_service()
+        client.create("s", n_channels=1)
+        assert client.ingest("s", points(5, n_channels=1))["seq_to"] == 4
+        reply = client.ingest("s", [[0.2]], expect=expect)
+        assert reply["error"]["type"] == "bad_request", reply
+        session = service.store.get("s")
+        assert (session.seq, session.queue_depth) == (5, 5)
+        reply = client.ingest("s", [[0.2]], expect=5)
+        assert (reply["seq_from"], reply.get("duplicate")) == (5, None)
+
+    @pytest.mark.parametrize("max_results", ["2", 2.5, True, -1])
+    def test_score_refuses_non_integer_max(self, max_results):
+        _, client = make_service()
+        client.create("s", n_channels=2)
+        client.ingest("s", points(3))
+        assert client.score("s", max_results=0)["results"] == []  # flushed
+        reply = client.request("score", stream="s", max=max_results)
+        assert reply["error"]["type"] == "bad_request", reply
+        results = client.score("s")["results"]
+        assert [r["seq"] for r in results] == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -400,6 +400,12 @@ def test_router_error_paths(fleet):
     reply = client.create("dup", spec="+".join(SPEC), n_channels=2)
     assert not reply.get("ok") and reply["error"]["type"] == "duplicate_stream"
 
+    # Count fields are checked at the protocol edge, before routing.
+    reply = client.ingest("dup", [[0.0, 0.0]], expect=0.5)
+    assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
+    reply = client.request("score", stream="dup", max="2")
+    assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
+
     with pytest.raises(ReproError, match="out of range"):
         router.migrate("dup", 7)
 

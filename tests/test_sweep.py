@@ -1,8 +1,8 @@
-"""Property tests pinning the all-threshold sweep core to the references.
+"""Property tests pinning the all-threshold sweep core to the oracles.
 
-Every rewritten metric keeps its historical per-threshold implementation
-as a ``*_reference`` function; these tests generate adversarial score /
-label streams (heavy ties via integer-valued scores, windows touching the
+Every rewritten metric's historical per-threshold loop lives on in
+``tests/_oracles.py``; these tests generate adversarial score / label
+streams (heavy ties via integer-valued scores, windows touching the
 series edges, empty and all-positive labels) and assert the sweep answers
 match the loops — exactly for integer confusion counts, ``allclose`` at
 ``rtol=1e-9`` for float curves and volumes.
@@ -13,27 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
+from repro.core.config import DetectorConfig
+from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import windows_from_labels
-from repro.experiments.evaluation import best_f1_threshold
+from repro.experiments.evaluation import best_f1_threshold, evaluate_result
 from repro.metrics import (
     buffered_label_weights,
-    buffered_label_weights_reference,
     candidate_thresholds,
     count_ge,
     mass_ge,
     nab_sweep,
-    nab_sweep_reference,
     pr_curve,
     range_confusion,
     range_pr_auc,
     range_pr_curve,
-    range_pr_curve_reference,
     range_sweep,
     step_auc,
-    step_pr_auc_reference,
     vus,
-    weighted_curves_reference,
 )
+from repro.streaming import run_stream
 
 # Integer-valued scores maximize threshold ties — the hardest case for
 # interval-indicator bookkeeping (side="left" vs "right" mistakes).
@@ -79,7 +78,7 @@ class TestPrimitives:
         recalls = np.sort(rng.random(len(values)))
         precisions = rng.random(len(values))
         assert step_auc(recalls, precisions) == pytest.approx(
-            step_pr_auc_reference(recalls, precisions), rel=1e-12
+            _oracles.step_pr_auc(recalls, precisions), rel=1e-12
         )
 
 
@@ -102,28 +101,22 @@ class TestRangeSweep:
     @settings(max_examples=80, deadline=None)
     def test_curve_matches_reference(self, scores, labels):
         scores, labels = _pair(scores, labels)
-        t1, p1, r1 = range_pr_curve(scores, labels, 19, backend="sweep")
-        t2, p2, r2 = range_pr_curve_reference(scores, labels, 19)
+        t1, p1, r1 = range_pr_curve(scores, labels, 19)
+        t2, p2, r2 = _oracles.range_pr_curve(scores, labels, 19)
         assert np.array_equal(t1, t2)
         assert np.allclose(p1, p2, rtol=1e-9)
         assert np.allclose(r1, r2, rtol=1e-9)
-        assert range_pr_auc(scores, labels, 19, backend="sweep") == pytest.approx(
-            range_pr_auc(scores, labels, 19, backend="reference"), rel=1e-9
+        assert range_pr_auc(scores, labels, 19) == pytest.approx(
+            _oracles.range_pr_auc(scores, labels, 19), rel=1e-9
         )
 
     @given(score_lists, label_bits)
     @settings(max_examples=80, deadline=None)
     def test_best_f1_threshold_matches_reference(self, scores, labels):
         scores, labels = _pair(scores, labels)
-        assert best_f1_threshold(scores, labels, backend="sweep") == best_f1_threshold(
-            scores, labels, backend="reference"
+        assert best_f1_threshold(scores, labels) == _oracles.best_f1_threshold(
+            scores, labels
         )
-
-    def test_rejects_unknown_backend(self):
-        scores = np.asarray([0.0, 1.0])
-        labels = np.asarray([0, 1])
-        with pytest.raises(ValueError):
-            range_pr_curve(scores, labels, backend="nope")
 
 
 class TestVUSSweep:
@@ -132,15 +125,15 @@ class TestVUSSweep:
     def test_buffered_weights_bitwise_equal(self, labels, buffer):
         labels = np.asarray(labels, dtype=int)
         fast = buffered_label_weights(labels, buffer)
-        slow = buffered_label_weights_reference(labels, buffer)
+        slow = _oracles.buffered_label_weights(labels, buffer)
         assert np.array_equal(fast, slow), (labels, buffer)
 
     @given(score_lists, label_bits, st.integers(min_value=0, max_value=12))
     @settings(max_examples=60, deadline=None)
     def test_vus_matches_reference(self, scores, labels, max_buffer):
         scores, labels = _pair(scores, labels)
-        fast = vus(scores, labels, max_buffer=max_buffer, backend="sweep")
-        slow = vus(scores, labels, max_buffer=max_buffer, backend="reference")
+        fast = vus(scores, labels, max_buffer=max_buffer)
+        slow = _oracles.vus(scores, labels, max_buffer=max_buffer)
         assert fast.buffers == slow.buffers
         assert np.allclose(fast.pr_aucs, slow.pr_aucs, rtol=1e-9)
         assert np.allclose(fast.roc_aucs, slow.roc_aucs, rtol=1e-9)
@@ -153,7 +146,7 @@ class TestVUSSweep:
         scores, labels = _pair(scores, labels)
         weights = buffered_label_weights(labels, 6)
         thresholds = candidate_thresholds(scores, 17)
-        pr_slow, _ = weighted_curves_reference(scores, labels, weights, thresholds, 0.0)
+        pr_slow, _ = _oracles.weighted_curves(scores, labels, weights, thresholds, 0.0)
         curve = pr_curve(scores, weights=weights, thresholds=thresholds)
         assert curve.auc() == pytest.approx(pr_slow, rel=1e-9)
 
@@ -165,7 +158,7 @@ class TestNABSweep:
         scores, labels = _pair(scores, labels)
         thresholds = candidate_thresholds(scores, 21)
         fast = nab_sweep(scores, labels, thresholds)
-        slow = nab_sweep_reference(scores, labels, thresholds)
+        slow = _oracles.nab_sweep(scores, labels, thresholds)
         assert np.array_equal(fast.n_detected, slow.n_detected)
         assert np.array_equal(fast.n_missed, slow.n_missed)
         assert np.array_equal(
@@ -180,5 +173,38 @@ class TestNABSweep:
         scores, labels = _pair(scores, labels)
         thresholds = candidate_thresholds(scores, 11)
         fast = nab_sweep(scores, labels, thresholds, a_fp=2.0, a_fn=0.5)
-        slow = nab_sweep_reference(scores, labels, thresholds, a_fp=2.0, a_fn=0.5)
+        slow = _oracles.nab_sweep(scores, labels, thresholds, a_fp=2.0, a_fn=0.5)
         assert np.allclose(fast.scores, slow.scores, rtol=1e-9, atol=1e-12)
+
+
+class TestEvaluationMatchesOracles:
+    """End to end: registry cells stream a small labelled series, then the
+    Table III evaluation of each cell's scored region must match the
+    oracle loops — the best-F1 threshold exactly, AUC and VUS at
+    ``rtol=1e-9``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("pcb_iforest", "sw", "kswin"),
+            ("ae", "sw", "kswin"),
+            ("online_arima", "ures", "musigma"),
+        ],
+        ids="+".join,
+    )
+    def test_evaluate_result_matches_oracles(self, spec, labelled_series):
+        config = DetectorConfig(
+            window=6, train_capacity=24, fit_epochs=2, initial_train_size=40
+        )
+        detector = build_detector(AlgorithmSpec(*spec), 2, config)
+        result = run_stream(detector, labelled_series)
+        scores, labels = result.scored_region()
+        assert labels.any()
+        assert best_f1_threshold(scores, labels) == _oracles.best_f1_threshold(
+            scores, labels
+        )
+        row = evaluate_result(result)
+        assert row.auc == pytest.approx(
+            _oracles.range_pr_auc(scores, labels, 40), rel=1e-9
+        )
+        assert row.vus == pytest.approx(_oracles.vus(scores, labels).vus_pr, rel=1e-9)
