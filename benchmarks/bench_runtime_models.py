@@ -8,7 +8,8 @@ full detector step (representation + prediction + nonconformity + scoring
 Also benchmarks the chunked streaming engine (``run_stream`` with
 ``batch_size``) against its ``batch_size=1`` sequential reference (what
 ``detector.step`` runs), asserting bitwise identity between the chunked
-and chunk=1 runs before any number is written.
+and chunk=1 runs before any number is written; full mode also asserts
+each row's speedup floor (``STREAM_COMBOS``).
 Results land in ``BENCH_stream.json`` at the repo root.
 
 Run as a script (``python benchmarks/bench_runtime_models.py [--fast]``)
@@ -38,14 +39,17 @@ CONFIG = DetectorConfig(
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
-#: (model, task1, task2, asserted) — asserted combos carry the >= 3x
-#: speedup acceptance bar for the chunked engine.
+#: (model, task1, task2, floor) — ``floor`` is the least chunked ÷
+#: chunk=1 speedup asserted in full mode (``None``: reported only).  The
+#: neural models batch their forwards, so they clear 3x; PCB-iForest ×
+#: KSWIN fine-tunes every ~9 steps here, so its segments are short and
+#: its floor pins only that chunking never costs more than it saves.
 STREAM_COMBOS = (
-    ("ae", "sw", "musigma", True),
-    ("usad", "sw", "musigma", True),
-    ("nbeats", "sw", "musigma", True),
-    ("online_arima", "sw", "musigma", False),
-    ("pcb_iforest", "sw", "kswin", False),
+    ("ae", "sw", "musigma", 3.0),
+    ("usad", "sw", "musigma", 3.0),
+    ("nbeats", "sw", "musigma", 3.0),
+    ("online_arima", "sw", "musigma", None),
+    ("pcb_iforest", "sw", "kswin", 1.0),
 )
 STREAM_CHUNK = 256
 
@@ -178,12 +182,16 @@ def run_benchmarks(fast: bool = False) -> dict:
         n_series=1, n_steps=n_steps, clean_prefix=400, seed=0
     )[0]
     combos = []
-    for model, task1, task2, asserted in STREAM_COMBOS:
+    for model, task1, task2, floor in STREAM_COMBOS:
         entry = bench_stream_combo(
             AlgorithmSpec(model, task1, task2), series, repeats=1 if fast else 3
         )
-        entry["asserted"] = asserted
+        entry["floor"] = floor
         combos.append(entry)
+    if not fast:
+        for combo in combos:
+            if combo["floor"] is not None:
+                assert combo["speedup_vs_chunk1"] >= combo["floor"], combo
     return {
         "generated_by": "benchmarks/bench_runtime_models.py",
         "mode": "fast" if fast else "full",
@@ -204,16 +212,13 @@ def write_results(payload: dict, out: Path = DEFAULT_OUT) -> Path:
 
 
 def bench_stream_engine(benchmark):
-    """pytest-benchmark entry point: full run, thresholds asserted."""
+    """pytest-benchmark entry point: full run, floors asserted."""
     payload = benchmark.pedantic(run_benchmarks, rounds=1, iterations=1)
     out = write_results(payload)
     print()
     print(json.dumps(payload, indent=2))
     print(f"\nresults written to {out}")
     assert payload["determinism"]["bitwise_identical"]
-    for combo in payload["combos"]:
-        if combo["asserted"]:
-            assert combo["speedup_vs_chunk1"] >= 3.0, combo["algorithm"]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -151,12 +151,15 @@ class StreamingAnomalyDetector:
         per-step work (model forwards, nonconformity precursors, scorer
         folds, input validation) runs vectorized over the block.  The
         model parameters ``theta`` only change at fine-tune events, so the
-        engine *speculates* that the whole block shares one ``theta``,
-        precomputes every step's nonconformity precursors at once, and
-        replays the cheap stateful parts (Task-1 update, Task-2 decision)
-        step by step.  When a fine-tune fires mid-block, the speculative
-        state beyond that step is rolled back (measure + scorer snapshots)
-        and the remainder recomputed under the new ``theta``.
+        block is cut into segments that each end at a fine-tune
+        (:meth:`_segment`).  When Task 1 does not read the score, a
+        segment runs the cheap stateful parts (Task-1 update, Task-2
+        decision) first and precomputes the nonconformity precursors of
+        exactly the rows it commits; otherwise it *speculates* that the
+        whole block shares one ``theta``, precomputes every row at once,
+        and rolls the state beyond a mid-block fine-tune back (measure +
+        scorer snapshots) before the remainder is recomputed under the
+        new ``theta``.
 
         The result is bitwise invariant to how a stream is cut into
         blocks — ``step_chunk`` over any chunking of a series yields the
@@ -258,89 +261,102 @@ class StreamingAnomalyDetector:
         drift_out: np.ndarray,
         fine_out: np.ndarray,
     ) -> int:
+        """Commit a run of ``windows`` under the current ``theta``.
+
+        The run ends at the first row whose Task-2 check fires, and the
+        fine-tune on that row's training set closes the segment.  How the
+        segment finds that row depends on whether Task 1 reads the score:
+
+        - a score-blind strategy (SW, uRES) *decides, then scores*: the
+          Task-1 update → observe → ``should_finetune`` replay runs
+          first, so ``precompute`` and the measure and scorer folds run
+          over exactly the committed rows (:meth:`_decide_then_score`);
+        - a strategy whose update reads the score (ARES) *speculates*:
+          it scores every row first and rolls back what a fire
+          invalidates (:meth:`_speculate`).
+
+        Both make the same Task-1 and Task-2 calls in the same order, and
+        a row's precursors do not depend on the rows that share its
+        ``precompute`` call, so either way the outputs equal a one-row
+        loop's bit for bit.
+
+        Returns the number of rows committed; fewer than the segment
+        length means a fine-tune changed ``theta`` and the caller
+        continues with the remainder under the new parameters.
+        """
+        if self.train_strategy.reads_score:
+            n_commit, train_set = self._speculate(windows, i, a_out, f_out)
+        else:
+            n_commit, train_set = self._decide_then_score(windows, i, a_out, f_out)
+        if train_set is not None:
+            drift_out[i + n_commit - 1] = True
+            fine_out[i + n_commit - 1] = True
+            self._finetune(train_set)
+        return n_commit
+
+    def _decide_then_score(
+        self, windows: np.ndarray, i: int, a_out: np.ndarray, f_out: np.ndarray
+    ) -> tuple[int, np.ndarray | None]:
+        """Replay Task 1 and Task 2 up to the first fire, then score the
+        committed rows.
+
+        Exact for a strategy that does not read the score: no decision
+        depends on a score, so the decided rows are committed whatever
+        they score, and each is scored once under the ``theta`` it would
+        have been scored under anyway.  Nothing is snapshotted or rolled
+        back.  Returns ``(rows committed, fine-tune training set or
+        None)``.
+        """
+        train_set = None
+        for k in range(len(windows)):
+            train_set = self._decide(windows[k], 0.0)
+            if train_set is not None:
+                break
+        n_commit = k + 1
+        committed = windows[:n_commit]
+        precursors = self._precompute(committed)
+        if precursors is None and self.telemetry.enabled:
+            self.telemetry.count("fallback_steps", n_commit)
+        a_out[i : i + n_commit], f_out[i : i + n_commit] = self._fold(
+            committed, precursors
+        )
+        return n_commit, train_set
+
+    def _speculate(
+        self, windows: np.ndarray, i: int, a_out: np.ndarray, f_out: np.ndarray
+    ) -> tuple[int, np.ndarray | None]:
         """Score ``windows`` under frozen ``theta``, replay, roll back.
 
         The segment speculates that every row shares the current
         ``theta``: one batched ``precompute``, the measure folds and one
         scorer fold, then the per-step Task-1 update → observe →
-        ``should_finetune`` → fine-tune replay.  A fine-tune before the
-        last row rewinds the measure and scorer to the segment start and
-        re-folds the committed prefix.  A one-row segment has nothing to
-        rewind, so it takes no snapshot and folds through
-        ``scorer.update`` (``update_batch`` is documented bit-identical
-        to looping it).  A measure with no batched path (``precompute``
-        returns ``None``) takes one-row segments through
-        ``consume(None, ...)``, i.e. the measure's exact per-step call on
-        the live model.
-
-        Returns the number of rows committed; fewer than the segment
-        length means a fine-tune invalidated the speculation and the
-        caller recomputes the remainder under the new parameters.
+        ``should_finetune`` replay with each row's score.  A fire before
+        the last row rewinds the measure and scorer to the segment start
+        and re-folds the committed prefix.  A one-row segment has nothing
+        to rewind, so it takes no snapshot.  A measure with no batched
+        path (``precompute`` returns ``None``) takes one-row segments
+        through ``consume(None, ...)``, i.e. the measure's exact per-step
+        call on the live model.  Returns ``(rows committed, fine-tune
+        training set or None)``.
         """
         tel = self.telemetry
-        trace = tel.enabled
-        if trace:
-            t0 = perf_counter()
-        precursors = self.nonconformity.precompute(windows, self.model)
-        if trace:
-            tel.add_time("predict", perf_counter() - t0)
+        precursors = self._precompute(windows)
         if precursors is None:
             windows = windows[:1]
-            if trace:
+            if tel.enabled:
                 tel.count("fallback_steps")
         n_seg = len(windows)
-        if trace:
-            t0 = perf_counter()
         if n_seg > 1:
             measure_state = self.nonconformity.snapshot(self.model)
-        a_seg = np.empty(n_seg, dtype=np.float64)
-        for k in range(n_seg):
-            a_seg[k] = self.nonconformity.consume(
-                precursors, k, windows[k], self.model
-            )
-        if trace:
-            t1 = perf_counter()
-            tel.add_time("nonconformity", t1 - t0, calls=n_seg)
-        if n_seg > 1:
             scorer_state = self.scorer.snapshot()
-            f_seg = self.scorer.update_batch(a_seg)
-        else:
-            f_seg = (self.scorer.update(float(a_seg[0])),)
-        if trace:
-            tel.add_time("score", perf_counter() - t1, calls=n_seg)
+        a_seg, f_seg = self._fold(windows, precursors)
 
         for k in range(n_seg):
-            self.t += 1
-            if self.first_scored_step is None:
-                self.first_scored_step = self.t
-            x = np.array(windows[k])
-            if trace:
-                t0 = perf_counter()
-            update = self.train_strategy.update(x, score=float(f_seg[k]))
-            self.drift_detector.observe(update, self.t)
-            if trace:
-                t1 = perf_counter()
-                tel.add_time("task1-update", t1 - t0)
             a_out[i + k] = a_seg[k]
             f_out[i + k] = f_seg[k]
-            # Materializing the training set is an ``np.stack`` over the
-            # whole Task-1 buffer; skip it for detectors that decide
-            # without it.
-            train_set = (
-                self.train_strategy.training_set()
-                if self.drift_detector.needs_train_set
-                else NO_TRAIN_SET
-            )
-            fire = self.drift_detector.should_finetune(self.t, train_set)
-            if trace:
-                tel.add_time("task2-check", perf_counter() - t1)
-            if not fire:
+            train_set = self._decide(windows[k], float(f_seg[k]))
+            if train_set is None:
                 continue
-            drift_out[i + k] = True
-            fine_out[i + k] = True
-            tel.count("drift_fires")
-            if not self.drift_detector.needs_train_set:
-                train_set = self.train_strategy.training_set()
             if k + 1 < n_seg:
                 tel.count("chunk_rollbacks")
                 tel.event(
@@ -359,9 +375,82 @@ class StreamingAnomalyDetector:
                     )
                 self.scorer.restore(scorer_state)
                 self.scorer.update_batch(a_seg[: k + 1])
-            self._finetune(train_set)
-            return k + 1
-        return n_seg
+            return k + 1, train_set
+        return n_seg, None
+
+    def _decide(self, window: np.ndarray, score: float) -> np.ndarray | None:
+        """Task 1, then Task 2, for the next stream step.
+
+        Returns the training set to fine-tune on when Task 2 fires, else
+        ``None``.
+        """
+        tel = self.telemetry
+        trace = tel.enabled
+        self.t += 1
+        if self.first_scored_step is None:
+            self.first_scored_step = self.t
+        x = np.array(window)
+        if trace:
+            t0 = perf_counter()
+        update = self.train_strategy.update(x, score=score)
+        self.drift_detector.observe(update, self.t)
+        if trace:
+            t1 = perf_counter()
+            tel.add_time("task1-update", t1 - t0)
+        # Materializing the training set is an ``np.stack`` over the
+        # whole Task-1 buffer; skip it for detectors that decide
+        # without it.
+        needs_train_set = self.drift_detector.needs_train_set
+        train_set = (
+            self.train_strategy.training_set() if needs_train_set else NO_TRAIN_SET
+        )
+        fire = self.drift_detector.should_finetune(self.t, train_set)
+        if trace:
+            tel.add_time("task2-check", perf_counter() - t1)
+        if not fire:
+            return None
+        tel.count("drift_fires")
+        return train_set if needs_train_set else self.train_strategy.training_set()
+
+    def _precompute(self, windows: np.ndarray) -> np.ndarray | None:
+        """The measure's frozen-model precursors for ``windows``."""
+        tel = self.telemetry
+        if not tel.enabled:
+            return self.nonconformity.precompute(windows, self.model)
+        t0 = perf_counter()
+        precursors = self.nonconformity.precompute(windows, self.model)
+        tel.add_time("predict", perf_counter() - t0)
+        return precursors
+
+    def _fold(
+        self, windows: np.ndarray, precursors: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold ``windows`` through the measure's and the scorer's state in
+        stream order; return the nonconformities and scores.
+
+        A one-row fold goes through ``scorer.update``; ``update_batch`` is
+        documented bit-identical to looping it.
+        """
+        tel = self.telemetry
+        trace = tel.enabled
+        n_rows = len(windows)
+        if trace:
+            t0 = perf_counter()
+        a_rows = np.empty(n_rows, dtype=np.float64)
+        for k in range(n_rows):
+            a_rows[k] = self.nonconformity.consume(
+                precursors, k, windows[k], self.model
+            )
+        if trace:
+            t1 = perf_counter()
+            tel.add_time("nonconformity", t1 - t0, calls=n_rows)
+        if n_rows > 1:
+            f_rows = self.scorer.update_batch(a_rows)
+        else:
+            f_rows = np.array([self.scorer.update(float(a_rows[0]))])
+        if trace:
+            tel.add_time("score", perf_counter() - t1, calls=n_rows)
+        return a_rows, f_rows
 
     # ------------------------------------------------------------------
     def _initial_fit(self) -> None:

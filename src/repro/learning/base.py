@@ -93,6 +93,12 @@ class TrainingSetStrategy:
     #: registry name, overridden by subclasses.
     name = "base"
 
+    #: Whether :meth:`update` reads its ``score`` argument.  A strategy
+    #: that does not lets the chunked streaming engine run Task 1 and
+    #: Task 2 ahead of scoring, find the segment's first fine-tune, and
+    #: score exactly the rows it commits.  ``True`` is the safe default.
+    reads_score = True
+
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")

@@ -18,6 +18,7 @@ class UniformReservoir(TrainingSetStrategy):
     """
 
     name = "ures"
+    reads_score = False
 
     def __init__(self, capacity: int, rng: np.random.Generator | None = None) -> None:
         super().__init__(capacity)

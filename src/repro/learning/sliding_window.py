@@ -18,6 +18,7 @@ class SlidingWindow(TrainingSetStrategy):
     """
 
     name = "sw"
+    reads_score = False
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)

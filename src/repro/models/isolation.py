@@ -183,12 +183,25 @@ class ExtendedIsolationTree:
         self.flat = _FlatTree(self.root, self.dim)
 
     def _grow(self, data: FloatArray, depth: int) -> _Node:
+        """Grow the subtree isolating ``data`` (all finite) at ``depth``.
+
+        Each test is the cheapest exact form of the obvious one, because
+        a PCB-iForest fine-tune regrows trees on the streaming hot path:
+        the bounding-box test is ``np.allclose(lower, upper)`` with its
+        default tolerances spelled out (on finite input ``allclose``
+        computes ``|a - b| <= atol + rtol * |b|``, and ``upper - lower``
+        is that ``|a - b|`` exactly), the norm is ``sqrt(n . n)`` as
+        ``np.linalg.norm`` computes it for a 1-D vector, and one
+        ``count_nonzero`` detects a degenerate split.  The RNG draws and
+        every float are those of the obvious form, which
+        ``tests/_oracles.py`` keeps as ``grow_tree``.
+        """
         n = data.shape[0]
         if n <= 1 or depth >= self.max_depth:
             return _Node(size=n)
         lower = data.min(axis=0)
         upper = data.max(axis=0)
-        if np.allclose(lower, upper):
+        if (upper - lower <= 1e-08 + 1e-05 * np.abs(upper)).all():
             return _Node(size=n)  # all points identical: nothing to split
         normal = self._rng.normal(size=self.dim)
         if self.extension_level is not None:
@@ -199,13 +212,14 @@ class ExtendedIsolationTree:
             mask = np.zeros(self.dim, dtype=bool)
             mask[keep] = True
             normal = np.where(mask, normal, 0.0)
-        norm = np.linalg.norm(normal)
+        norm = math.sqrt(normal.dot(normal))
         if norm < 1e-12:
             return _Node(size=n)
         normal /= norm
         intercept = self._rng.uniform(lower, upper)
         goes_left = (data - intercept) @ normal <= 0.0
-        if goes_left.all() or not goes_left.any():
+        n_left = np.count_nonzero(goes_left)
+        if n_left == 0 or n_left == n:
             return _Node(size=n)  # degenerate split
         return _Node(
             size=n,

@@ -53,14 +53,16 @@ verbatim in the reply.  Verbs:
 ``score``
     Collect scored results: ``max`` (a non-negative integer; anything
     else is ``bad_request`` and pops nothing) bounds the reply size, ``flush``
-    (default true) synchronously drains the session's queue first so a
+    (a boolean, default true; anything else is ``bad_request`` and pops
+    nothing) synchronously drains the session's queue first so a
     client that just ingested can read every score without waiting for
     the micro-batch delay.  Results are ``{seq, score, nonconformity,
     drift, finetuned}`` dicts in sequence order.
 ``stats``
     Per-session state + telemetry and the fleet-wide merged rollup;
     ``stream`` restricts the reply to one session, and
-    ``latency_windows: true`` includes each session's raw retained
+    ``latency_windows: true`` (a boolean; anything else is
+    ``bad_request``) includes each session's raw retained
     latency samples (so a router can merge reservoirs fleet-wide).
 ``describe``
     Deep introspection of one session (``stream`` required): the
@@ -116,6 +118,9 @@ _STREAMLESS_OPS = ("stats", "ping", "shutdown")
 #: optional count fields per verb: a non-negative integer when present.
 _COUNT_FIELDS = {"ingest": "expect", "score": "max"}
 
+#: optional flag fields per verb: a JSON boolean when present.
+_FLAG_FIELDS = {"score": "flush", "stats": "latency_windows"}
+
 #: ``error.type`` values a client can dispatch on.
 ERROR_TYPES = (
     "bad_request",
@@ -163,13 +168,32 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
     return message
 
 
+def check_count(op: str, field: str, value: Any) -> None:
+    """Refuse a count field that is not a non-negative integer.
+
+    ``bool`` is an ``Integral`` subclass, and a float like 4.9 would
+    truncate, so both are refused; integer types such as ``np.int64``
+    pass.  :func:`parse_request` applies it to every request, and the
+    scheduler to in-process ingests that never crossed the wire.
+
+    Raises:
+        ProtocolError: naming ``op`` and ``field``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ProtocolError(
+            f"{op} '{field}' must be a non-negative integer, got {value!r}"
+        )
+
+
 def parse_request(message: dict[str, Any]) -> dict[str, Any]:
     """Validate a request envelope; return it with defaults normalized.
 
     Raises:
         ProtocolError: on a missing/unsupported version, unknown verb, a
-            session verb without a ``stream`` id, or an ``ingest.expect``
-            / ``score.max`` that is not a non-negative integer.
+            session verb without a ``stream`` id, an ``ingest.expect``
+            / ``score.max`` that is not a non-negative integer, or a
+            ``score.flush`` / ``stats.latency_windows`` that is not a
+            boolean (the string ``"false"`` would read as true).
     """
     version = message.get("v")
     if version != PROTOCOL_VERSION:
@@ -187,13 +211,12 @@ def parse_request(message: dict[str, Any]) -> dict[str, Any]:
     elif stream is not None and not isinstance(stream, str):
         raise ProtocolError("'stream' must be a string when present")
     field = _COUNT_FIELDS.get(op)
-    value = message.get(field) if field else None
-    # bool is an Integral subclass, and a float like 4.9 would truncate.
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0
-    ):
+    if field and message.get(field) is not None:
+        check_count(op, field, message[field])
+    flag = _FLAG_FIELDS.get(op)
+    if flag and flag in message and not isinstance(message[flag], bool):
         raise ProtocolError(
-            f"{op} '{field}' must be a non-negative integer, got {value!r}"
+            f"{op} '{flag}' must be a boolean, got {message[flag]!r}"
         )
     return message
 

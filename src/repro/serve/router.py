@@ -986,7 +986,7 @@ class RouterService:
                     request,
                     **self.stats_payload(
                         request.get("stream"),
-                        latency_windows=bool(request.get("latency_windows")),
+                        latency_windows=request.get("latency_windows", False),
                     ),
                 )
             if op == "create":

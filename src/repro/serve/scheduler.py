@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError, StreamError
 from repro.obs import NULL_TELEMETRY, Telemetry, merge_summaries
+from repro.serve.protocol import check_count
 from repro.serve.session import DetectorSession
 from repro.streaming.fleet import FleetEngine
 
@@ -182,7 +183,12 @@ class MicroBatchScheduler:
         acknowledged request whose reply was lost — it is dropped and
         re-acknowledged with ``dup=True`` instead of double-scored.  An
         ``expect`` *ahead* of the session is a protocol violation (the
-        client skipped data) and is rejected.
+        client skipped data) and is rejected.  ``expect`` must be a
+        non-negative integer: anything else raises
+        :class:`~repro.serve.protocol.ProtocolError` before the block is
+        logged or enqueued, the check ``parse_request`` applies on the
+        wire (truncating 4.9 to 4 would re-acknowledge a new point as a
+        duplicate and drop it).
 
         When the session carries a WAL, the block is appended to the log
         *before* it enters the queue — an exception from the append
@@ -190,19 +196,20 @@ class MicroBatchScheduler:
         client is never acknowledged for data that could not be made
         durable.
         """
+        if expect is not None:
+            check_count("ingest", "expect", expect)
+            expect = int(expect)
         with session.lock:
-            if expect is not None:
-                expect = int(expect)
-                if expect != session.seq:
-                    if expect >= 0 and expect + len(block) <= session.seq:
-                        self.telemetry.count("ingest_deduped")
-                        return expect, expect + len(block) - 1, True
-                    raise StreamError(
-                        f"stream {session.stream_id!r} is at seq "
-                        f"{session.seq} but the ingest expected "
-                        f"{expect}; refusing a gapped or partially "
-                        "overlapping replay"
-                    )
+            if expect is not None and expect != session.seq:
+                if expect + len(block) <= session.seq:
+                    self.telemetry.count("ingest_deduped")
+                    return expect, expect + len(block) - 1, True
+                raise StreamError(
+                    f"stream {session.stream_id!r} is at seq "
+                    f"{session.seq} but the ingest expected "
+                    f"{expect}; refusing a gapped or partially "
+                    "overlapping replay"
+                )
             depth = session.queue_depth
             if depth + len(block) > self.config.queue_limit:
                 self.telemetry.count("ingest_rejected")

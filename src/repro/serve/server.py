@@ -767,7 +767,7 @@ class DetectionService:
                     **self.collect(
                         stream,
                         max_results=request.get("max"),
-                        flush=bool(request.get("flush", True)),
+                        flush=request.get("flush", True),
                     ),
                 )
             if op == "stats":
@@ -776,7 +776,7 @@ class DetectionService:
                     request,
                     **self.stats_payload(
                         stream,
-                        latency_windows=bool(request.get("latency_windows")),
+                        latency_windows=request.get("latency_windows", False),
                     ),
                 )
             if op == "describe":

@@ -3,7 +3,8 @@
 Each function here computes what a vectorized path in ``src/`` computes,
 the slow and obvious way: one confusion re-derivation per threshold for
 the metrics, one recursive node walk per (point, tree) pair for the
-isolation forest.  The property tests compare the fast paths against
+isolation forest, ``np.allclose`` and ``np.linalg.norm`` where a tree
+grows.  The property tests compare the fast paths against
 them; ``benchmarks/bench_metrics.py`` and
 ``benchmarks/bench_parallel_speedup.py`` time them as their baselines
 (they put ``tests/`` on ``sys.path``).  Nothing in the package imports
@@ -25,7 +26,7 @@ from repro.metrics.nab import NABSweep, nab_score
 from repro.metrics.pointwise import candidate_thresholds
 from repro.metrics.ranged import range_confusion, range_precision_recall
 from repro.metrics.vus import VUSResult
-from repro.models.isolation import average_path_length
+from repro.models.isolation import _Node, average_path_length
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +185,7 @@ def nab_sweep(scores, labels, thresholds, a_fp: float = 1.0, a_fn: float = 1.0):
 
 
 # ----------------------------------------------------------------------
-# isolation forest: recursive walks over the grown node objects
+# isolation forest: recursive growth and walks over the node objects
 # ----------------------------------------------------------------------
 def path_length(tree, x) -> float:
     """Depth at which ``x`` isolates in ``tree``, plus the ``c(size)``
@@ -215,3 +216,44 @@ def walk_recursively(forest):
     node arena (the pre-arena baseline the parallel bench times)."""
     forest.depths = lambda x: forest_depths(forest, x)
     forest.depths_batch = lambda points: forest_depths_batch(forest, points)
+
+
+def grow_tree(data, rng, max_depth: int, extension_level=None):
+    """Grow an extended isolation tree's ``_Node`` root from ``data``,
+    drawing from ``rng`` as :class:`ExtendedIsolationTree` does, with the
+    obvious tests its ``_grow`` spells out cheaper: ``np.allclose`` on the
+    bounding box, ``np.linalg.norm`` on the normal, ``all``/``any`` on
+    the split."""
+    dim = data.shape[1]
+
+    def grow(data, depth):
+        n = data.shape[0]
+        if n <= 1 or depth >= max_depth:
+            return _Node(size=n)
+        lower = data.min(axis=0)
+        upper = data.max(axis=0)
+        if np.allclose(lower, upper):
+            return _Node(size=n)
+        normal = rng.normal(size=dim)
+        if extension_level is not None:
+            keep = rng.choice(dim, size=extension_level + 1, replace=False)
+            mask = np.zeros(dim, dtype=bool)
+            mask[keep] = True
+            normal = np.where(mask, normal, 0.0)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            return _Node(size=n)
+        normal /= norm
+        intercept = rng.uniform(lower, upper)
+        goes_left = (data - intercept) @ normal <= 0.0
+        if goes_left.all() or not goes_left.any():
+            return _Node(size=n)
+        return _Node(
+            size=n,
+            normal=normal,
+            intercept=intercept,
+            left=grow(data[goes_left], depth + 1),
+            right=grow(data[~goes_left], depth + 1),
+        )
+
+    return grow(np.atleast_2d(np.asarray(data, dtype=np.float64)), 0)

@@ -21,6 +21,7 @@ from repro.core.registry import AlgorithmSpec, build_algorithm_grid, build_detec
 from repro.core.representation import RollingBuffer, WindowRepresentation
 from repro.core.types import TimeSeries
 from repro.datasets.corpora import make_daphnet
+from repro.obs.telemetry import Telemetry
 from repro.scoring.anomaly_score import (
     AnomalyLikelihood,
     AverageScore,
@@ -108,18 +109,25 @@ def test_lazy_train_set_detectors_chunk_invariance(task2, series):
     assert_matches_chunk1(AlgorithmSpec("ae", "sw", task2), series)
 
 
-def test_finetune_straddles_chunk(series):
+@pytest.mark.parametrize("task1", ["sw", "ares"], ids=str)
+def test_finetune_straddles_chunk(task1, series):
     """A chunk that spans several fine-tune events still matches chunk=1.
 
     With ``regular`` Task-2 the fine-tune schedule is known: sessions at
     every multiple of the interval, several of which land strictly inside
-    a 64-step chunk, exercising the speculative-rollback path.
+    a 64-step chunk.  SW does not read the score, so its segments decide
+    each fire before scoring and never roll back; ARES reads it, so its
+    segments take the speculative-rollback path.
     """
-    spec = AlgorithmSpec("ae", "sw", "regular")
+    spec = AlgorithmSpec("ae", task1, "regular")
     reference = run_chunked(spec, series, 1)
-    chunked = run_chunked(spec, series, 64)
+    detector = build_detector(spec, n_channels=series.n_channels, config=CONFIG)
+    telemetry = Telemetry()
+    chunked = run_stream(detector, series, batch_size=64, telemetry=telemetry)
     finetune_steps = [e.t for e in chunked.events if e.reason != "initial_fit"]
     assert any(step % 64 not in (0, 63) for step in finetune_steps)
+    rollbacks = telemetry.counters.get("chunk_rollbacks", 0)
+    assert (rollbacks > 0) == (task1 == "ares")
     assert result_fingerprint(chunked) == result_fingerprint(reference)
 
 

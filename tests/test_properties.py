@@ -249,6 +249,77 @@ class TestFlatTreeMatchesRecursive:
         np.testing.assert_array_equal(after, recursive)
 
 
+def _preorder(node) -> list:
+    """A grown tree as its preorder ``(size, leaf, normal, intercept)``
+    list, floats as raw bytes."""
+    nodes, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            nodes.append((node.size, True, None, None))
+            continue
+        nodes.append((node.size, False, node.normal.tobytes(), node.intercept.tobytes()))
+        stack += [node.right, node.left]
+    return nodes
+
+
+class TestTreeGrowthMatchesOracle:
+    """``ExtendedIsolationTree._grow`` spells its tests cheaper than
+    ``_oracles.grow_tree`` (``np.allclose``, ``np.linalg.norm``,
+    ``all``/``any``); the trees and the RNG draws must stay identical,
+    including on duplicate rows, constant columns and columns whose
+    spread sits at the ``allclose`` tolerance."""
+
+    @given(
+        n_samples=st.integers(min_value=2, max_value=120),
+        dim=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        scale=st.integers(min_value=-6, max_value=6),
+        duplicates=st.booleans(),
+        constant=st.booleans(),
+        near=st.sampled_from(["none", "one", "all", "edge"]),
+        extension=st.booleans(),
+        max_depth=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_trees_identical(
+        self, n_samples, dim, seed, scale, duplicates, constant, near, extension, max_depth
+    ):
+        from repro.models.isolation import ExtendedIsolationTree
+
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_samples, dim)) * 10.0**scale
+        if duplicates:
+            data[rng.integers(0, n_samples, size=n_samples // 2 + 1)] = data[0]
+        if constant:
+            data[:, rng.integers(dim)] = rng.normal() * 10.0**scale
+        # Columns spread around allclose's tolerance atol + rtol * |c|:
+        # uniformly up to twice it, or ("edge") two values whose spread is
+        # within one ulp of it (exactly it, for {-1e-08, 0}).
+        columns = {"none": [], "one": [rng.integers(dim)]}.get(near, range(dim))
+        for j in columns:
+            centre = rng.normal() * 10.0**scale
+            if near == "edge" and rng.random() < 0.5:
+                centre = 0.0
+            tolerance = 1e-08 + 1e-05 * abs(centre)
+            if near == "edge":
+                lower = centre - tolerance
+                for _ in range(int(rng.integers(0, 2))):
+                    lower = np.nextafter(lower, rng.choice([-np.inf, np.inf]))
+                data[:, j] = np.where(rng.random(n_samples) < 0.5, lower, centre)
+                data[:2, j] = centre, lower
+            else:
+                spread = rng.uniform(0.0, 2.0) * tolerance
+                data[:, j] = centre + rng.uniform(0.0, spread, n_samples)
+        level = int(rng.integers(dim)) if extension else None
+
+        grow_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        tree = ExtendedIsolationTree(data, grow_rng, max_depth=max_depth, extension_level=level)
+        oracle = _oracles.grow_tree(data, oracle_rng, tree.max_depth, level)
+        assert _preorder(tree.root) == _preorder(oracle)
+        assert grow_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class _MuSigmaOracle(MuSigmaChange):
     """μ/σ-Change with the uncached formulas, inline: moments, every
     threshold and every feature mean recomputed on every check."""

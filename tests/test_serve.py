@@ -237,6 +237,57 @@ class TestCountFields:
         results = client.score("s")["results"]
         assert [r["seq"] for r in results] == [0, 1, 2]
 
+    @pytest.mark.parametrize("expect", [4.9, True, "4", -1])
+    def test_in_process_ingest_refuses_non_integer_expect(self, expect):
+        # The in-process API skips parse_request; the scheduler applies
+        # the same check before anything is logged or enqueued.
+        service, _ = make_service()
+        service.create_session("s", n_channels=1)
+        service.ingest("s", points(5, n_channels=1))
+        with pytest.raises(ProtocolError, match="expect"):
+            service.ingest("s", [[0.2]], expect=expect)
+        session = service.store.get("s")
+        assert (session.seq, session.queue_depth) == (5, 5)
+        reply = service.ingest("s", [[0.2]], expect=np.int64(5))
+        assert (reply["seq_from"], reply.get("duplicate")) == (5, None)
+        assert type(reply["seq_from"]) is int
+
+
+class TestFlagFields:
+    """``score.flush`` and ``stats.latency_windows`` are booleans,
+    checked in :func:`parse_request` before anything is flushed or
+    popped: the string ``"false"`` is not false."""
+
+    @pytest.mark.parametrize("op, field", [("score", "flush"), ("stats", "latency_windows")])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_parse_refuses_non_booleans(self, op, field, value):
+        with pytest.raises(ProtocolError, match=field):
+            parse_request({"v": 1, "op": op, "stream": "s", field: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_parse_keeps_booleans(self, value):
+        for op, field in (("score", "flush"), ("stats", "latency_windows")):
+            request = {"v": 1, "op": op, "stream": "s", field: value}
+            assert parse_request(request)[field] is value
+
+    def test_score_refuses_string_flush(self):
+        service, client = make_service(max_batch=64)
+        client.create("s", n_channels=2)
+        client.ingest("s", points(10))
+        reply = client.request("score", stream="s", flush="false")
+        assert reply["error"]["type"] == "bad_request", reply
+        assert service.store.get("s").queue_depth == 10
+        reply = client.score("s", flush=False)
+        assert (reply["results"], reply["pending_points"]) == ([], 10)
+        assert [r["seq"] for r in client.score("s")["results"]] == list(range(10))
+
+    def test_stats_refuses_string_latency_windows(self):
+        _, client = make_service()
+        client.create("s", n_channels=2)
+        reply = client.request("stats", latency_windows="false")
+        assert reply["error"]["type"] == "bad_request", reply
+        assert client.request("stats", latency_windows=False)["ok"]
+
 
 # ----------------------------------------------------------------------
 # backpressure

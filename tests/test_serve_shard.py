@@ -405,6 +405,13 @@ def test_router_error_paths(fleet):
     assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
     reply = client.request("score", stream="dup", max="2")
     assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
+    # So are flag fields: a routed flush "false" neither flushes nor pops.
+    assert client.ingest("dup", make_stream(n=6)).get("ok")
+    reply = client.request("score", stream="dup", flush="false")
+    assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
+    reply = client.request("stats", latency_windows="false")
+    assert not reply.get("ok") and reply["error"]["type"] == "bad_request"
+    assert [r["seq"] for r in client.score("dup")["results"]] == list(range(6))
 
     with pytest.raises(ReproError, match="out of range"):
         router.migrate("dup", 7)
