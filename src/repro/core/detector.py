@@ -483,13 +483,10 @@ class StreamingAnomalyDetector:
 
     def _finetune(self, train_set: np.ndarray) -> None:
         with self.telemetry.span("fine-tune"):
-            loss_before = self.model.loss(train_set)
-            loss_after = self.model.finetune(train_set, epochs=self.finetune_epochs)
-        self._record_finetune(train_set, loss_before, loss_after)
+            loss = self.model.finetune(train_set, epochs=self.finetune_epochs)
+        self._record_finetune(train_set, loss)
 
-    def _record_finetune(
-        self, train_set: np.ndarray, loss_before: float, loss_after: float
-    ) -> None:
+    def _record_finetune(self, train_set: np.ndarray, loss_after: float) -> None:
         """Book a fine-tune on ``train_set`` that just ran at ``self.t``.
 
         Shared by :meth:`_finetune` and the fleet engine's fused
@@ -503,7 +500,6 @@ class StreamingAnomalyDetector:
             t=self.t,
             reason=self.drift_detector.name,
             train_set_size=len(train_set),
-            loss_before=float(loss_before),
             loss_after=float(loss_after),
         )
         self.events.append(
@@ -511,7 +507,6 @@ class StreamingAnomalyDetector:
                 t=self.t,
                 reason=self.drift_detector.name,
                 train_set_size=len(train_set),
-                loss_before=loss_before,
                 loss_after=loss_after,
             )
         )

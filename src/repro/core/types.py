@@ -51,12 +51,25 @@ class StepResult:
 
 @dataclass
 class FineTuneEvent:
-    """Record of one fine-tuning session, kept by the detector."""
+    """Record of one fine-tuning session, kept by the detector.
+
+    ``loss_after`` is the one loss an event carries: the value the
+    model's own ``fit`` (initial fit) or ``finetune`` returned, in the
+    model's own units.  Per model family:
+
+    - gradient models (AE, USAD, N-BEATS, LSTM, RNN): the last epoch's
+      mean minibatch training objective, in the model's scaled units;
+    - Online ARIMA: the mean squared OGD error of its last epoch;
+    - VAR: the mean squared least-squares residual;
+    - PCB-iForest, k-NN, k-means and RS-Forest: the summary their
+      ``fit`` documents.
+
+    Losses of different families are not comparable.
+    """
 
     t: int
     reason: str
     train_set_size: int
-    loss_before: float = float("nan")
     loss_after: float = float("nan")
 
 

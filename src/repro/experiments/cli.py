@@ -33,7 +33,6 @@ def _table3_config(args: argparse.Namespace) -> Table3Config:
         n_steps=args.steps,
         clean_prefix=args.prefix,
         seed=args.seed,
-        stream_chunk=args.stream_chunk,
         detector=DetectorConfig(
             window=args.window,
             train_capacity=args.capacity,
@@ -67,11 +66,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the experiment grid "
                              "(1 = sequential, -1 = all CPUs); results are "
                              "identical at any setting")
-    parser.add_argument("--stream-chunk", type=int, default=1,
-                        dest="stream_chunk",
-                        help="stream block size for the chunked engine "
-                             "(default 1; results are bitwise invariant to "
-                             "the block size)")
     parser.add_argument("--trace", action="store_true",
                         help="collect run telemetry (counters, stage/span "
                              "timers, event log) and write a RunManifest "

@@ -71,9 +71,7 @@ def run_score_ablation(
         for spec in specs
         for series in corpus
     ]
-    grid = ParallelCorpusRunner(
-        n_jobs=n_jobs, batch_size=config.stream_chunk, trace=tel.enabled
-    ).run(cells)
+    grid = ParallelCorpusRunner(n_jobs=n_jobs, trace=tel.enabled).run(cells)
     tel.merge_payload(grid.telemetry if tel.enabled else None)
     per_scorer = len(specs) * len(corpus)
     rows = []

@@ -17,7 +17,7 @@ from repro.core.types import TimeSeries
 from repro.datasets.corpora import make_corpus
 from repro.experiments.evaluation import MetricRow, average_rows, evaluate_result
 from repro.experiments.reporting import render_table
-from repro.streaming.runner import run_stream
+from repro.streaming.runner import OFFLINE_CHUNK, run_stream
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _run_point(
     runtime = 0.0
     for series in corpus:
         detector = build_detector(spec, series.n_channels, config)
-        result = run_stream(detector, series)
+        result = run_stream(detector, series, batch_size=OFFLINE_CHUNK)
         rows.append(evaluate_result(result, threshold_quantile=0.98))
         finetunes += result.n_finetunes
         runtime += result.runtime_seconds

@@ -65,8 +65,6 @@ class Table3Config:
     #: quantile of the score distribution used as the unsupervised
     #: operating point for the thresholded metrics (Prec / Rec / NAB).
     threshold_quantile: float = 0.98
-    #: ``step_chunk`` block size per stream (bitwise invariant to it).
-    stream_chunk: int = 1
     detector: DetectorConfig = field(
         default_factory=lambda: DetectorConfig(
             window=24,
@@ -137,9 +135,7 @@ def run_algorithm_on_corpus(
 ) -> Table3Row:
     """Run one algorithm over every series and scorer; average metrics."""
     cells = build_cells([spec], corpus, config.detector, scorers=config.scorers)
-    grid = ParallelCorpusRunner(
-        n_jobs=n_jobs, batch_size=config.stream_chunk
-    ).run(cells)
+    grid = ParallelCorpusRunner(n_jobs=n_jobs).run(cells)
     return _row_from_grid(spec, grid, config)
 
 
@@ -189,9 +185,9 @@ def run_table3(
             seed=config.seed,
         )
     cells = build_cells(specs, corpus, config.detector, scorers=config.scorers)
-    grid = ParallelCorpusRunner(
-        n_jobs=n_jobs, batch_size=config.stream_chunk, trace=tel.enabled
-    ).run(cells, progress=progress)
+    grid = ParallelCorpusRunner(n_jobs=n_jobs, trace=tel.enabled).run(
+        cells, progress=progress
+    )
     tel.merge_payload(grid.telemetry if tel.enabled else None)
     per_spec = len(config.scorers) * len(corpus)
     rows = []

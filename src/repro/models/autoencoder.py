@@ -156,7 +156,7 @@ class TwoLayerAutoencoder(StreamModel):
     @classmethod
     def fleet_finetune(
         cls, models: list, windows_list: list, epochs: int
-    ) -> tuple[list[float], list[float]] | None:
+    ) -> list[float] | None:
         """Session-axis fused :meth:`finetune` of K autoencoders.
 
         Replays the exact `_train` minibatch sequence on ``(K, B, F)``
@@ -184,8 +184,6 @@ class TwoLayerAutoencoder(StreamModel):
             lane = nn.AdamLane([m._optimizer for m in models], arena)
         except (ConfigurationError, ValueError, KeyError):
             return None
-        loss_before = cls._fleet_loss(models, arena.mirror, windows_list)
-
         (network,) = arena.mirror
         flat = np.stack(
             [
@@ -211,4 +209,4 @@ class TwoLayerAutoencoder(StreamModel):
         lane.writeback()
         for model in models:
             model._fitted = True
-        return loss_before, [float(x) for x in last]
+        return [float(x) for x in last]

@@ -237,16 +237,6 @@ class StreamModel:
         X = _as_windows(X)
         return np.asarray([self.score(x) for x in X], dtype=np.float64)
 
-    def loss(self, windows: FloatArray) -> float:
-        """Mean squared prediction error over a set of windows (diagnostics)."""
-        windows = _as_windows(windows)
-        predictions = self.predict_batch(windows)
-        if self.prediction_kind == "reconstruction":
-            errors = np.mean((predictions - windows) ** 2, axis=(1, 2))
-        else:
-            errors = np.mean((predictions - windows[:, -1]) ** 2, axis=1)
-        return float(np.mean(errors))
-
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} used before fit")
@@ -282,34 +272,19 @@ class StreamModel:
     @classmethod
     def fleet_finetune(
         cls, models: list, windows_list: list, epochs: int
-    ) -> tuple[list[float], list[float]] | None:
+    ) -> list[float] | None:
         """Fused fine-tune of K same-spec sessions on their train sets.
 
         One session-axis training loop replaces K sequential
-        ``model.loss`` + ``model.finetune`` calls: the implementation must
-        leave every model (weights, gradients, optimizer state, RNG,
-        ``_fitted``) bitwise identical to the per-session sequence and
-        return ``(loss_before, loss_after)`` lists matching the
-        per-session return values bit for bit.  Implementations validate
-        *before* mutating anything and return ``None`` when the group is
-        not fusable (the caller then fine-tunes per session); the default
-        has no fused trainer at all.
+        ``model.finetune`` calls: the implementation must leave every
+        model (weights, gradients, optimizer state, RNG, ``_fitted``)
+        bitwise identical to the per-session sequence and return one loss
+        per member, bit for bit what that member's ``finetune`` returns.
+        Implementations validate *before* mutating anything and return
+        ``None`` when the group is not fusable (the caller then
+        fine-tunes per session); the default has no fused trainer at all.
         """
         return None
-
-    @classmethod
-    def _fleet_loss(cls, models: list, mirror: tuple, windows_list: list) -> list:
-        """Per-session :meth:`loss` from one fused prediction pass."""
-        windows_list = [_as_windows(w) for w in windows_list]
-        predictions = cls.fleet_predict_batch(models, mirror, windows_list)
-        losses = []
-        for model, windows, preds in zip(models, windows_list, predictions):
-            if model.prediction_kind == "reconstruction":
-                errors = np.mean((preds - windows) ** 2, axis=(1, 2))
-            else:
-                errors = np.mean((preds - windows[:, -1]) ** 2, axis=1)
-            losses.append(float(np.mean(errors)))
-        return losses
 
 
 def _as_windows(windows: FloatArray) -> FloatArray:

@@ -121,8 +121,3 @@ class OnlineKMeans(StreamModel):
     def predict(self, x: FeatureVector) -> FloatArray:
         """Score models expose predict for interface parity."""
         return np.asarray([self.score(x)])
-
-    def loss(self, windows: FloatArray) -> float:
-        """Mean nearest-centroid distance over a set of windows."""
-        windows = _as_windows(windows)
-        return float(np.mean([self.nearest_distance(w) for w in windows]))

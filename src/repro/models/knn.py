@@ -49,7 +49,10 @@ class KNNDetector(StreamModel):
         self._scale = 1.0
 
     def fit(self, windows: FloatArray, epochs: int = 1) -> float:
-        """Store the training set and calibrate the distance scale."""
+        """Store the training set and calibrate the distance scale.
+
+        Returns 0.0: storing a reference set trains nothing.
+        """
         windows = _as_windows(windows)
         flat = windows.reshape(len(windows), -1)
         if len(flat) <= self.k:
@@ -97,8 +100,3 @@ class KNNDetector(StreamModel):
     def predict(self, x: FeatureVector) -> FloatArray:
         """Score models expose predict for interface parity."""
         return np.asarray([self.score(x)])
-
-    def loss(self, windows: FloatArray) -> float:
-        """Mean score over a set of windows (lower = more typical)."""
-        windows = _as_windows(windows)
-        return float(np.mean([self.score(w) for w in windows]))

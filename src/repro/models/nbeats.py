@@ -363,7 +363,7 @@ class NBeats(StreamModel):
     @classmethod
     def fleet_finetune(
         cls, models: list, windows_list: list, epochs: int
-    ) -> tuple[list[float], list[float]] | None:
+    ) -> list[float] | None:
         """Session-axis fused :meth:`finetune` of K N-BEATS models.
 
         The residual forward/backward wiring is shape-agnostic over
@@ -394,8 +394,6 @@ class NBeats(StreamModel):
             lane = nn.AdamLane([m._optimizer for m in models], arena)
         except (ConfigurationError, ValueError, KeyError):
             return None
-        loss_before = cls._fleet_loss(models, arena.mirror, windows_list)
-
         blocks = list(arena.mirror)
         scaled = [m.scaler.transform(w) for m, w in zip(models, windows_list)]
         inputs = np.stack([s[:, :-1, :].reshape(n, -1) for s in scaled])
@@ -423,4 +421,4 @@ class NBeats(StreamModel):
         lane.writeback()
         for model in models:
             model._fitted = True
-        return loss_before, [float(x) for x in last]
+        return [float(x) for x in last]

@@ -70,7 +70,11 @@ class PCBIForest(StreamModel):
         return windows[:, -1, :]
 
     def fit(self, windows: FloatArray, epochs: int = 1) -> float:
-        """Full rebuild of the forest; ``epochs`` is ignored (tree-based)."""
+        """Full rebuild of the forest; ``epochs`` is ignored (tree-based).
+
+        Returns the mean ensemble score over the training set (lower =
+        more normal), as :meth:`finetune` does after its update.
+        """
         points = self._points(windows)
         self.forest.fit(points)
         self.performance_counters = np.zeros(self.forest.n_trees, dtype=np.int64)
@@ -148,8 +152,3 @@ class PCBIForest(StreamModel):
     def predict(self, x: FeatureVector) -> FloatArray:
         """Score models have no vector prediction; exposed for interface parity."""
         return np.asarray([self.score(x)])
-
-    def loss(self, windows: FloatArray) -> float:
-        """Mean ensemble score over the training set (lower = more normal)."""
-        points = self._points(windows)
-        return float(self.forest.score_batch(points).mean())

@@ -162,7 +162,10 @@ class RSForest(StreamModel):
         return windows[:, -1, :]
 
     def fit(self, windows: FloatArray, epochs: int = 1) -> float:
-        """Build tree structures (first call) and populate leaf counts."""
+        """Build tree structures (first call) and populate leaf counts.
+
+        Returns the mean density of the training points.
+        """
         points = self._points(windows)
         if not self.trees:
             lower = points.min(axis=0)
@@ -202,8 +205,3 @@ class RSForest(StreamModel):
     def predict(self, x: FeatureVector) -> FloatArray:
         """Score models expose predict for interface parity."""
         return np.asarray([self.score(x)])
-
-    def loss(self, windows: FloatArray) -> float:
-        """Mean score over the training set (lower = denser = more normal)."""
-        points = self._points(windows)
-        return float(np.mean([self.score(p[None, :]) for p in points]))

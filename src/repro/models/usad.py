@@ -298,7 +298,7 @@ class USAD(StreamModel):
     @classmethod
     def fleet_finetune(
         cls, models: list, windows_list: list, epochs: int
-    ) -> tuple[list[float], list[float]] | None:
+    ) -> list[float] | None:
         """Session-axis fused :meth:`finetune` of K USAD models.
 
         The two-phase adversarial batch sequence of ``_train_batch`` is
@@ -325,8 +325,6 @@ class USAD(StreamModel):
             lane2 = nn.AdamLane([m._opt2 for m in models], arena)
         except (ConfigurationError, ValueError, KeyError):
             return None
-        loss_before = cls._fleet_loss(models, arena.mirror, windows_list)
-
         encoder, decoder1, decoder2, encoder_b, decoder2_b = arena.mirror
         n_models = len(models)
         flat = np.stack(
@@ -393,4 +391,4 @@ class USAD(StreamModel):
         lane2.writeback()
         for model in models:
             model._fitted = True
-        return loss_before, [float(x) for x in last]
+        return [float(x) for x in last]

@@ -173,8 +173,9 @@ def check_count(op: str, field: str, value: Any) -> None:
 
     ``bool`` is an ``Integral`` subclass, and a float like 4.9 would
     truncate, so both are refused; integer types such as ``np.int64``
-    pass.  :func:`parse_request` applies it to every request, and the
-    scheduler to in-process ingests that never crossed the wire.
+    pass.  :func:`parse_request` applies it to every request, and
+    ``DetectionService.ingest`` to in-process ingests that never crossed
+    the wire.
 
     Raises:
         ProtocolError: naming ``op`` and ``field``.

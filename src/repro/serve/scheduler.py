@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError, StreamError
 from repro.obs import NULL_TELEMETRY, Telemetry, merge_summaries
-from repro.serve.protocol import check_count
 from repro.serve.session import DetectorSession
 from repro.streaming.fleet import FleetEngine
 
@@ -183,12 +182,11 @@ class MicroBatchScheduler:
         acknowledged request whose reply was lost — it is dropped and
         re-acknowledged with ``dup=True`` instead of double-scored.  An
         ``expect`` *ahead* of the session is a protocol violation (the
-        client skipped data) and is rejected.  ``expect`` must be a
-        non-negative integer: anything else raises
-        :class:`~repro.serve.protocol.ProtocolError` before the block is
-        logged or enqueued, the check ``parse_request`` applies on the
-        wire (truncating 4.9 to 4 would re-acknowledge a new point as a
-        duplicate and drop it).
+        client skipped data) and is rejected.  ``expect`` is a
+        non-negative ``int``: :meth:`~repro.serve.server.DetectionService.ingest`
+        checks it before the block gets here, with the rule
+        ``parse_request`` applies on the wire (truncating 4.9 to 4 would
+        re-acknowledge a new point as a duplicate and drop it).
 
         When the session carries a WAL, the block is appended to the log
         *before* it enters the queue — an exception from the append
@@ -196,9 +194,6 @@ class MicroBatchScheduler:
         client is never acknowledged for data that could not be made
         durable.
         """
-        if expect is not None:
-            check_count("ingest", "expect", expect)
-            expect = int(expect)
         with session.lock:
             if expect is not None and expect != session.seq:
                 if expect + len(block) <= session.seq:

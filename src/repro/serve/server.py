@@ -51,6 +51,7 @@ from repro.select.swap import expected_model_class
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    check_count,
     decode_line,
     encode,
     error_reply,
@@ -559,8 +560,14 @@ class DetectionService:
         ``expect`` (the client's next expected sequence number) makes
         the verb idempotent: an exact replay of an already-accepted
         block — a retry after a lost reply — is re-acknowledged with
-        ``duplicate: true`` instead of scored twice.
+        ``duplicate: true`` instead of scored twice.  It must be a
+        non-negative integer, checked before anything else with the rule
+        :func:`~repro.serve.protocol.parse_request` applies on the wire,
+        so an in-process call is refused wherever a wire request is.
         """
+        if expect is not None:
+            check_count("ingest", "expect", expect)
+            expect = int(expect)
         session = self.store.get(stream)
         block = session.validate_points(points)
         if len(block) == 0:

@@ -17,7 +17,12 @@ without ``grad`` (every trainer zeroes it before its first backward, so
 it was never read back; a restored Parameter starts at zeros), which
 takes about a fifth off a ``usad+ares+musigma`` checkpoint, and
 ``MuSigmaChange`` carries the feature means of its reference thresholds
-(``_ref_means``), which a v4 detector lacks.  Version 4
+(``_ref_means``), which a v4 detector lacks.  ``FineTuneEvent`` lost
+its pre-fine-tune loss field within version 5, because no step reads a
+fine-tune event: a v5 checkpoint written before the drop unpickles its
+events with a stale attribute that nothing reads, and an event written
+after it reads back in the older library with that field's class
+default.  Version 4
 covers KSWIN's rank counters: the detector's pickled state changed layout
 (a sorted reference plus rank histograms in place of per-channel sorted
 pools), so a v3 checkpoint would resume with a stale sorted-pool list the

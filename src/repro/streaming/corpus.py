@@ -8,7 +8,7 @@ from typing import Callable
 from repro.core.detector import StreamingAnomalyDetector
 from repro.core.types import TimeSeries
 from repro.obs import Telemetry
-from repro.streaming.runner import StreamResult, run_stream
+from repro.streaming.runner import OFFLINE_CHUNK, StreamResult, run_stream
 
 DetectorFactory = Callable[[TimeSeries], StreamingAnomalyDetector]
 
@@ -41,14 +41,14 @@ def run_corpus(
     progress: bool = False,
     progress_every: int | None = None,
     n_jobs: int | None = None,
-    batch_size: int = 1,
     telemetry: Telemetry | None = None,
 ) -> CorpusResult:
     """Stream every series through a fresh detector from ``factory``.
 
     A fresh detector per series keeps runs independent (matching how the
-    experiment harness and the paper evaluate); pass a closure capturing
-    your spec/config:
+    experiment harness and the paper evaluate); each series streams in
+    blocks of :data:`~repro.streaming.runner.OFFLINE_CHUNK` rows.  Pass a
+    closure capturing your spec/config:
 
         run_corpus(lambda s: build_detector(spec, s.n_channels, config),
                    make_daphnet(...))
@@ -65,9 +65,6 @@ def run_corpus(
             *forked* so the factory closure is inherited rather than
             pickled (Linux; other platforms fall back to sequential).
             Scores are bitwise-identical to a sequential run.
-        batch_size: forwarded to :func:`run_stream` — stream each series
-            in blocks of this many steps (results are bitwise invariant
-            to it).
         telemetry: when given, accumulates counters/spans/events across
             the whole corpus.  Sequential runs attach it to every
             detector directly; parallel runs trace inside the workers
@@ -96,7 +93,6 @@ def run_corpus(
             n,
             progress=progress,
             progress_every=progress_every,
-            batch_size=batch_size,
             trace=telemetry is not None,
         )
         for outcome in outcomes:
@@ -117,7 +113,7 @@ def run_corpus(
             detector,
             series,
             progress_every=progress_every,
-            batch_size=batch_size,
+            batch_size=OFFLINE_CHUNK,
             telemetry=telemetry,
         )
         results.append(result)

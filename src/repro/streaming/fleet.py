@@ -609,8 +609,8 @@ class FleetEngine:
             # One fine-tune per member; the group shares one train-set
             # size, so an equal split is the split by rows.
             self._credit(members, [1] * len(members), (("fine-tune", elapsed),))
-            for k, before, after in zip(members, *fused):
-                self.detectors[k]._record_finetune(train_sets[k], before, after)
+            for k, loss in zip(members, fused):
+                self.detectors[k]._record_finetune(train_sets[k], loss)
             self.finetunes_fused += len(members)
             self.points_fused_training += sum(
                 len(train_sets[k]) for k in members

@@ -40,7 +40,7 @@ from repro.core.detector import StreamingAnomalyDetector
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
 from repro.obs import Telemetry
-from repro.streaming.runner import StreamResult, run_stream
+from repro.streaming.runner import OFFLINE_CHUNK, StreamResult, run_stream
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -160,16 +160,16 @@ class GridResult:
 
 
 def _run_cell(
-    payload: tuple[CorpusCell, int | None, int, bool],
+    payload: tuple[CorpusCell, int | None, bool],
 ) -> StreamResult | CellFailure:
     """Worker body: rebuild the detector, stream the series, capture errors."""
-    cell, progress_every, batch_size, trace = payload
+    cell, progress_every, trace = payload
     try:
         return run_stream(
             cell.build(),
             cell.series,
             progress_every=progress_every,
-            batch_size=batch_size,
+            batch_size=OFFLINE_CHUNK,
             telemetry=Telemetry() if trace else None,
         )
     except Exception as exc:  # noqa: BLE001 — one cell must not kill the grid
@@ -191,9 +191,6 @@ class ParallelCorpusRunner:
         chunksize: cells handed to a worker per dispatch.  1 (default)
             gives the best load balance for heterogeneous cells; raise it
             when cells are tiny and numerous to amortize IPC.
-        batch_size: forwarded to :func:`run_stream` — stream each cell
-            in blocks of this many steps (results are bitwise invariant
-            to it).
         trace: collect per-cell :class:`~repro.obs.Telemetry` inside each
             worker and merge the snapshots into ``GridResult.telemetry``.
         retries: bounded re-execution budget for failed cells (default 1).
@@ -209,7 +206,6 @@ class ParallelCorpusRunner:
         self,
         n_jobs: int | None = None,
         chunksize: int = 1,
-        batch_size: int = 1,
         trace: bool = False,
         retries: int = 1,
     ) -> None:
@@ -219,7 +215,6 @@ class ParallelCorpusRunner:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.chunksize = chunksize
-        self.batch_size = batch_size
         self.trace = trace
         self.retries = retries
 
@@ -242,9 +237,7 @@ class ParallelCorpusRunner:
                 progress inside a cell; with a pool the workers' lines
                 interleave on shared stdout).
         """
-        payloads = [
-            (cell, progress_every, self.batch_size, self.trace) for cell in cells
-        ]
+        payloads = [(cell, progress_every, self.trace) for cell in cells]
         outcomes: list[StreamResult | CellFailure] = []
         if self.n_jobs == 1 or len(cells) <= 1:
             iterator: Iterable[StreamResult | CellFailure] = map(
@@ -397,16 +390,16 @@ _FORK_FACTORY: Callable[[TimeSeries], StreamingAnomalyDetector] | None = None
 
 
 def _run_forked_series(
-    payload: tuple[TimeSeries, int | None, int, bool],
+    payload: tuple[TimeSeries, int | None, bool],
 ) -> StreamResult | CellFailure:
-    series, progress_every, batch_size, trace = payload
+    series, progress_every, trace = payload
     assert _FORK_FACTORY is not None, "worker started without a factory"
     try:
         return run_stream(
             _FORK_FACTORY(series),
             series,
             progress_every=progress_every,
-            batch_size=batch_size,
+            batch_size=OFFLINE_CHUNK,
             telemetry=Telemetry() if trace else None,
         )
     except Exception as exc:  # noqa: BLE001
@@ -430,7 +423,6 @@ def run_corpus_parallel(
     n_jobs: int,
     progress: bool = False,
     progress_every: int | None = None,
-    batch_size: int = 1,
     trace: bool = False,
 ) -> list[StreamResult | CellFailure]:
     """Stream every series through ``factory`` detectors, ``n_jobs`` at a time.
@@ -440,7 +432,7 @@ def run_corpus_parallel(
     execution when the platform has no ``fork`` start method.
     """
     global _FORK_FACTORY
-    payloads = [(series, progress_every, batch_size, trace) for series in corpus]
+    payloads = [(series, progress_every, trace) for series in corpus]
     if n_jobs <= 1 or len(corpus) <= 1 or not fork_start_method_available():
         return [_run_forked_series_with(factory, p) for p in payloads]
     context = multiprocessing.get_context("fork")

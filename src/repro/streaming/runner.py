@@ -15,6 +15,12 @@ from repro.obs import NULL_TELEMETRY, STAGE_PREFIX, Telemetry, get_stream_logger
 
 logger = get_stream_logger()
 
+#: Rows per ``step_chunk`` block when the offline drivers (``run_corpus``,
+#: :class:`~repro.streaming.parallel.ParallelCorpusRunner`, the sweeps)
+#: stream a series.  Results are bitwise invariant to the block size;
+#: 256 rows amortise the per-block overhead.
+OFFLINE_CHUNK = 256
+
 
 @dataclass
 class StreamResult:

@@ -42,11 +42,6 @@ class TestTwoLayerAutoencoder:
         correlation = np.corrcoef(window.ravel(), reconstruction.ravel())[0, 1]
         assert correlation > 0.8
 
-    def test_loss_method(self, small_windows):
-        model = TwoLayerAutoencoder(window=8, n_channels=3, epochs=30, seed=0)
-        model.fit(small_windows)
-        assert model.loss(small_windows) >= 0.0
-
     def test_predict_output_in_original_units(self, small_windows):
         # Shift data far from zero; reconstruction must live in that range.
         shifted = small_windows + 100.0

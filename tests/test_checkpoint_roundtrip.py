@@ -130,6 +130,38 @@ def test_resume_across_engine_modes(tmp_path, batch_size):
     assert np.array_equal(full_scores[cut:], rest_scores)
 
 
+def test_checkpoint_with_stale_event_loss_resumes(tmp_path):
+    """A v5 checkpoint whose fine-tune events still carry ``loss_before``.
+
+    Checkpoints written before events dropped that field pickle it in
+    every event.  No step reads an event, so such a checkpoint must load
+    and finish the stream bitwise like an uninterrupted run.
+    """
+    values = make_stream()
+    cut = 380
+    spec = AlgorithmSpec("ae", "sw", "kswin")
+    reference = build_detector(spec, n_channels=2, config=CONFIG)
+    full_scores, full_nc = run_chunked(reference, values, 7)
+
+    detector = build_detector(spec, n_channels=2, config=CONFIG)
+    run_chunked(detector, values[:cut], 7)
+    assert detector.n_finetunes >= 1
+    for event in detector.events:
+        event.loss_before = 0.5
+    resumed = load_detector(save_detector(detector, tmp_path / "v5.pkl"))
+    rest_scores, rest_nc = run_chunked(resumed, values[cut:], 7)
+
+    assert np.array_equal(full_scores[cut:], rest_scores)
+    assert np.array_equal(full_nc[cut:], rest_nc)
+    assert [
+        (e.t, e.reason, e.train_set_size, repr(e.loss_after))
+        for e in resumed.events
+    ] == [
+        (e.t, e.reason, e.train_set_size, repr(e.loss_after))
+        for e in reference.events
+    ]
+
+
 _CHILD_RESUME = """\
 import sys
 

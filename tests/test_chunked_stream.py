@@ -45,7 +45,7 @@ def result_fingerprint(result: StreamResult) -> tuple:
         result.scores.tobytes(),
         result.nonconformities.tobytes(),
         tuple(
-            (e.t, e.reason, e.train_set_size, repr(e.loss_before), repr(e.loss_after))
+            (e.t, e.reason, e.train_set_size, repr(e.loss_after))
             for e in result.events
         ),
         tuple(result.drift_steps),

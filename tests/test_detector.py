@@ -127,7 +127,6 @@ class TestDetectorLifecycle:
         for v in values:
             detector.step(v)
         event = next(e for e in detector.events if e.reason != "initial_fit")
-        assert np.isfinite(event.loss_before)
         assert np.isfinite(event.loss_after)
         assert event.train_set_size == 15
 

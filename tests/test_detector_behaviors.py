@@ -112,7 +112,6 @@ class TestInitialFitEvent:
         event = detector.events[0]
         assert event.reason == "initial_fit"
         assert np.isfinite(event.loss_after)
-        assert np.isnan(event.loss_before)  # no model existed before
 
 
 class TestStepResultFlags:

@@ -100,7 +100,10 @@ def state_fingerprint(det) -> bytes:
                 for m in det.model.fleet_modules()
                 for p in m.parameters()
             ],
-            "events": [(e.t, e.reason, e.train_set_size) for e in det.events],
+            "events": [
+                (e.t, e.reason, e.train_set_size, repr(e.loss_after))
+                for e in det.events
+            ],
         }
     )
 

@@ -99,5 +99,4 @@ class TestOnlineKMeans:
 
     def test_loss_is_mean_distance(self, blobs):
         model = OnlineKMeans(k=3, seed=0)
-        model.fit(self._windows(blobs))
-        assert model.loss(self._windows(blobs[:20])) < 2.0
+        assert model.fit(self._windows(blobs)) < 2.0

@@ -423,7 +423,6 @@ class TestExperimentTelemetry:
             n_series=1,
             n_steps=400,
             clean_prefix=100,
-            stream_chunk=32,
             detector=DetectorConfig(
                 window=8,
                 train_capacity=48,
@@ -480,8 +479,6 @@ class TestCliTrace:
                 "48",
                 "--epochs",
                 "3",
-                "--stream-chunk",
-                "32",
                 "--trace",
                 "--trace-out",
                 str(out),

@@ -79,5 +79,4 @@ class TestPCBIForest:
 
     def test_loss_is_mean_score(self, train_windows):
         model = PCBIForest(n_trees=10, seed=0)
-        model.fit(train_windows)
-        assert 0.0 < model.loss(train_windows) < 1.0
+        assert 0.0 < model.fit(train_windows) < 1.0

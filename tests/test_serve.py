@@ -239,7 +239,7 @@ class TestCountFields:
 
     @pytest.mark.parametrize("expect", [4.9, True, "4", -1])
     def test_in_process_ingest_refuses_non_integer_expect(self, expect):
-        # The in-process API skips parse_request; the scheduler applies
+        # The in-process API skips parse_request; the service applies
         # the same check before anything is logged or enqueued.
         service, _ = make_service()
         service.create_session("s", n_channels=1)
@@ -251,6 +251,18 @@ class TestCountFields:
         reply = service.ingest("s", [[0.2]], expect=np.int64(5))
         assert (reply["seq_from"], reply.get("duplicate")) == (5, None)
         assert type(reply["seq_from"]) is int
+
+    @pytest.mark.parametrize("expect", [4.9, True, -1])
+    def test_empty_ingest_checks_expect_like_the_wire(self, expect):
+        # An empty block is acknowledged without reaching the queue, but
+        # its expect is refused first, in process as on the wire.
+        service, client = make_service()
+        client.create("s", n_channels=1)
+        reply = client.ingest("s", [], expect=expect)
+        assert reply["error"]["type"] == "bad_request", reply
+        with pytest.raises(ProtocolError, match="expect"):
+            service.ingest("s", [], expect=expect)
+        assert service.ingest("s", [], expect=0)["accepted"] == 0
 
 
 class TestFlagFields:
