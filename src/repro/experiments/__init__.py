@@ -27,7 +27,6 @@ from repro.experiments.table3 import (
     Table3Config,
     Table3Row,
     render_table3,
-    run_algorithm_on_corpus,
     run_table3,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "render_table",
     "render_table2",
     "render_table3",
-    "run_algorithm_on_corpus",
     "run_figure1",
     "run_score_ablation",
     "run_table2",

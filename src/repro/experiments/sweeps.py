@@ -17,7 +17,7 @@ from repro.core.types import TimeSeries
 from repro.datasets.corpora import make_corpus
 from repro.experiments.evaluation import MetricRow, average_rows, evaluate_result
 from repro.experiments.reporting import render_table
-from repro.streaming.runner import OFFLINE_CHUNK, run_stream
+from repro.streaming.corpus import run_corpus
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,16 @@ def _run_point(
     config: DetectorConfig,
     value: float,
 ) -> SweepPoint:
-    rows = []
-    finetunes = 0
-    runtime = 0.0
-    for series in corpus:
-        detector = build_detector(spec, series.n_channels, config)
-        result = run_stream(detector, series, batch_size=OFFLINE_CHUNK)
-        rows.append(evaluate_result(result, threshold_quantile=0.98))
-        finetunes += result.n_finetunes
-        runtime += result.runtime_seconds
+    result = run_corpus(
+        lambda series: build_detector(spec, series.n_channels, config), corpus
+    )
     return SweepPoint(
         value=value,
-        metrics=average_rows(rows),
-        mean_finetunes=finetunes / max(len(corpus), 1),
-        runtime_seconds=runtime,
+        metrics=average_rows(
+            [evaluate_result(r, threshold_quantile=0.98) for r in result]
+        ),
+        mean_finetunes=result.total_finetunes / max(result.n_series, 1),
+        runtime_seconds=result.total_runtime_seconds,
     )
 
 

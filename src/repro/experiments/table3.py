@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.core.config import DetectorConfig
 from repro.core.registry import AlgorithmSpec, build_algorithm_grid
-from repro.core.types import TimeSeries
 from repro.datasets.corpora import make_corpus
 from repro.experiments.evaluation import MetricRow, average_rows, evaluate_result
 from repro.experiments.reporting import render_table
@@ -127,33 +126,20 @@ def _row_from_grid(
     )
 
 
-def run_algorithm_on_corpus(
-    spec: AlgorithmSpec,
-    corpus: list[TimeSeries],
-    config: Table3Config,
-    n_jobs: int | None = None,
-) -> Table3Row:
-    """Run one algorithm over every series and scorer; average metrics."""
-    cells = build_cells([spec], corpus, config.detector, scorers=config.scorers)
-    grid = ParallelCorpusRunner(n_jobs=n_jobs).run(cells)
-    return _row_from_grid(spec, grid, config)
-
-
 def run_table3(
     corpus_name: str,
     specs: list[AlgorithmSpec] | None = None,
     config: Table3Config | None = None,
     n_jobs: int | None = None,
-    progress: bool = False,
     telemetry: Telemetry | None = None,
 ) -> list[Table3Row]:
     """Regenerate one corpus block of Table III.
 
     The full cross product of (algorithm, scorer, series) cells is fanned
     out over one :class:`ParallelCorpusRunner` grid — not one pool per
-    algorithm — so workers stay busy across the whole table.  Cells are
-    seeded identically to the historical sequential loop; ``n_jobs`` only
-    changes wall-clock time, never a number in the table.  A cell that
+    algorithm — so workers stay busy across the whole table.  Every cell
+    is seeded from ``config.detector.seed``; ``n_jobs`` only changes
+    wall-clock time, never a number in the table.  A cell that
     raises is reported and excluded from its row's averages; the grid
     keeps running (an algorithm only raises if *all* of its cells fail).
 
@@ -163,7 +149,6 @@ def run_table3(
         config: experiment scale parameters.
         n_jobs: worker processes for the grid (``None``/``1``
             sequential, ``-1`` all CPUs).
-        progress: print one line per completed cell.
         telemetry: when given, collects the experiment's coarse stage
             times (``stage:corpus`` / ``stage:stream`` / ``stage:evaluate``)
             plus the merged per-cell detector telemetry.  With ``n_jobs``
@@ -185,9 +170,7 @@ def run_table3(
             seed=config.seed,
         )
     cells = build_cells(specs, corpus, config.detector, scorers=config.scorers)
-    grid = ParallelCorpusRunner(n_jobs=n_jobs, trace=tel.enabled).run(
-        cells, progress=progress
-    )
+    grid = ParallelCorpusRunner(n_jobs=n_jobs, trace=tel.enabled).run(cells)
     tel.merge_payload(grid.telemetry if tel.enabled else None)
     per_spec = len(config.scorers) * len(corpus)
     rows = []

@@ -41,9 +41,9 @@ class ParameterArena:
 
     Args:
         roots_per_session: for each session, the tuple of module roots to
-            fuse (``model.fleet_modules()``).  All sessions must have
-            structurally identical trees (same classes, shapes and
-            non-parameter attributes).
+            fuse (``model.fleet_modules()``, ``None`` for a model without
+            a fused path).  All sessions must have structurally identical
+            trees (same classes, shapes and non-parameter attributes).
         attach: when True (the default), each session parameter's value is
             rebound to a row view of its stack so in-place updates write
             through.  ``attach=False`` builds a *scratch* arena over
@@ -53,14 +53,19 @@ class ParameterArena:
             leaves every member untouched.
 
     Raises:
-        FleetIncompatible: when the trees differ structurally, contain
-            unfusable state (e.g. an RNG-carrying ``Dropout``), or share
-            constant arrays whose values diverged between sessions.
+        FleetIncompatible: when a session has no module roots, the trees
+            differ structurally, contain unfusable state (e.g. an
+            RNG-carrying ``Dropout``), or share constant arrays whose
+            values diverged between sessions.
     """
 
-    def __init__(self, roots_per_session: list[tuple], attach: bool = True) -> None:
+    def __init__(
+        self, roots_per_session: list[tuple | None], attach: bool = True
+    ) -> None:
         if not roots_per_session:
             raise FleetIncompatible("arena needs at least one session")
+        if any(roots is None for roots in roots_per_session):
+            raise FleetIncompatible("a session's model has no fused modules")
         n_roots = len(roots_per_session[0])
         if any(len(roots) != n_roots for roots in roots_per_session):
             raise FleetIncompatible("sessions expose different root counts")

@@ -1,8 +1,7 @@
-"""Zero-dependency observability: telemetry, run manifests, stream logging.
+"""Zero-dependency observability: telemetry and run manifests.
 
-See :mod:`repro.obs.telemetry` for the counters/spans/events model,
-:mod:`repro.obs.manifest` for the ``RunManifest`` JSON artifact, and
-:mod:`repro.obs.streamlog` for the idempotent progress logger.
+See :mod:`repro.obs.telemetry` for the counters/spans/events model and
+:mod:`repro.obs.manifest` for the ``RunManifest`` JSON artifact.
 """
 
 from repro.obs.latency import LatencyReservoir, merge_summaries
@@ -15,7 +14,6 @@ from repro.obs.manifest import (
     library_versions,
 )
 from repro.obs.runlog import RunLog
-from repro.obs.streamlog import STREAM_LOGGER_NAME, get_stream_logger
 from repro.obs.telemetry import (
     CORE_COUNTERS,
     CORE_SPANS,
@@ -33,7 +31,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "NULL_TELEMETRY",
     "STAGE_PREFIX",
-    "STREAM_LOGGER_NAME",
     "NullTelemetry",
     "RunLog",
     "RunManifest",
@@ -41,7 +38,6 @@ __all__ = [
     "build_manifest",
     "canonicalize",
     "fingerprint_config",
-    "get_stream_logger",
     "library_versions",
     "merge_payloads",
     "merge_summaries",

@@ -16,7 +16,6 @@ from repro.streaming.parallel import (
     GridResult,
     ParallelCorpusRunner,
     build_cells,
-    derive_cell_seed,
 )
 from repro.streaming.runner import StreamResult, run_stream
 
@@ -31,7 +30,6 @@ __all__ = [
     "ParallelCorpusRunner",
     "StreamResult",
     "build_cells",
-    "derive_cell_seed",
     "load_detector",
     "peek_checkpoint",
     "run_corpus",

@@ -11,14 +11,13 @@ from numpy.typing import NDArray
 
 from repro.core.detector import StreamingAnomalyDetector
 from repro.core.types import FineTuneEvent, FloatArray, TimeSeries, count_finetunes
-from repro.obs import NULL_TELEMETRY, STAGE_PREFIX, Telemetry, get_stream_logger
-
-logger = get_stream_logger()
+from repro.obs import NULL_TELEMETRY, STAGE_PREFIX, Telemetry
 
 #: Rows per ``step_chunk`` block when the offline drivers (``run_corpus``,
-#: :class:`~repro.streaming.parallel.ParallelCorpusRunner`, the sweeps)
-#: stream a series.  Results are bitwise invariant to the block size;
-#: 256 rows amortise the per-block overhead.
+#: which the sweeps call, and
+#: :class:`~repro.streaming.parallel.ParallelCorpusRunner`) stream a
+#: series.  Results are bitwise invariant to the block size; 256 rows
+#: amortise the per-block overhead.
 OFFLINE_CHUNK = 256
 
 
@@ -64,7 +63,6 @@ class StreamResult:
 def run_stream(
     detector: StreamingAnomalyDetector,
     series: TimeSeries,
-    progress_every: int | None = None,
     batch_size: int = 1,
     telemetry: Telemetry | None = None,
 ) -> StreamResult:
@@ -73,9 +71,6 @@ def run_stream(
     Args:
         detector: a freshly built detector (call :meth:`reset` to reuse one).
         series: the labelled stream.
-        progress_every: optionally log a progress line every N steps
-            (the ``repro.stream`` logger, ``INFO`` level; the handler is
-            attached idempotently, so repeated runs never duplicate lines).
         batch_size: process the stream through
             :meth:`StreamingAnomalyDetector.step_chunk` in blocks of this
             many steps (>= 1).  The results are bitwise invariant to the
@@ -109,11 +104,6 @@ def run_stream(
         nonconformities[start:stop] = a_block
         if drift_block.any():
             drift_steps.extend((start + np.flatnonzero(drift_block)).tolist())
-        if progress_every:
-            # One mark every ``progress_every`` steps, wherever blocks cut.
-            first = -(-max(start, 1) // progress_every) * progress_every
-            for t in range(first, stop, progress_every):
-                logger.info("  [%s] step %d/%d", series.name, t, n_steps)
     runtime = time.perf_counter() - started
     if tel.enabled:
         tel.add_time(STAGE_PREFIX + "stream", runtime)

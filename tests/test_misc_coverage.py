@@ -1,45 +1,14 @@
-"""Small tests covering remaining corners: runner progress, figure-1
-stream generator, USAD blend extremes, op-counter arithmetic."""
-
-import logging
+"""Small tests covering remaining corners: figure-1 stream generator,
+USAD blend extremes, op-counter arithmetic."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.registry import AlgorithmSpec, build_detector
-from repro.core.types import TimeSeries
 from repro.experiments.figure1 import make_figure1_stream
 from repro.learning.base import OpCounter
 from repro.streaming import run_stream
-
-
-class TestRunnerProgress:
-    def _series_and_detector(self, rng):
-        values = rng.normal(size=(120, 2))
-        series = TimeSeries(values=values, labels=np.zeros(120, dtype=np.int_))
-        detector = build_detector(
-            AlgorithmSpec("online_arima", "sw", "never"),
-            2,
-            DetectorConfig(window=8, train_capacity=16, fit_epochs=1),
-        )
-        return series, detector
-
-    def test_progress_lines_logged(self, caplog, rng):
-        series, detector = self._series_and_detector(rng)
-        with caplog.at_level(logging.INFO, logger="repro.streaming.runner"):
-            run_stream(detector, series, progress_every=50)
-        assert "step 50/120" in caplog.text
-        assert "step 100/120" in caplog.text
-
-    def test_progress_lines_logged_chunked(self, caplog, rng):
-        series, detector = self._series_and_detector(rng)
-        with caplog.at_level(logging.INFO, logger="repro.streaming.runner"):
-            run_stream(detector, series, progress_every=50, batch_size=32)
-        assert "step 50/120" in caplog.text
-        assert "step 100/120" in caplog.text
-        # same marks as the per-step loop: t = 0 never reports
-        assert "step 0/120" not in caplog.text
 
 
 class TestFigure1Stream:

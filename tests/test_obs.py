@@ -1,7 +1,6 @@
 """Tests for the observability layer (repro.obs) and its integrations."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -18,10 +17,8 @@ from repro.obs import (
     Telemetry,
     build_manifest,
     fingerprint_config,
-    get_stream_logger,
     merge_payloads,
 )
-from repro.obs.streamlog import _HANDLER_TAG
 from repro.streaming import CellFailure, ParallelCorpusRunner, build_cells, run_corpus
 from repro.streaming import parallel as parallel_module
 from repro.streaming.runner import run_stream
@@ -239,52 +236,6 @@ class TestDetectorPickleHygiene:
         assert clone.telemetry is NULL_TELEMETRY
 
 
-class TestStreamLogger:
-    def test_handler_attached_at_most_once(self):
-        logger = logging.getLogger("repro.stream.test-idempotent")
-        logger.handlers.clear()
-        logger.propagate = False  # isolate from root/pytest handlers
-        try:
-            for _ in range(5):
-                get_stream_logger("repro.stream.test-idempotent")
-            tagged = [
-                h for h in logger.handlers if getattr(h, _HANDLER_TAG, False)
-            ]
-            assert len(tagged) == 1
-        finally:
-            logger.handlers.clear()
-            logger.propagate = True
-
-    def test_respects_existing_handlers(self):
-        logger = logging.getLogger("repro.stream.test-existing")
-        logger.handlers.clear()
-        logger.propagate = False
-        own_handler = logging.NullHandler()
-        logger.addHandler(own_handler)
-        try:
-            get_stream_logger("repro.stream.test-existing")
-            assert logger.handlers == [own_handler]
-        finally:
-            logger.handlers.clear()
-            logger.propagate = True
-
-    def test_repeated_runs_emit_each_line_once(self, caplog):
-        corpus = make_smd(n_series=1, n_steps=250, clean_prefix=60, seed=0)
-        config = DetectorConfig(window=8, train_capacity=24, fit_epochs=1)
-
-        def factory(series):
-            return build_detector(
-                AlgorithmSpec("online_arima", "sw", "musigma"),
-                n_channels=series.n_channels,
-                config=config,
-            )
-
-        with caplog.at_level(logging.INFO, logger="repro.stream"):
-            run_corpus(factory, corpus, progress_every=100)
-            run_corpus(factory, corpus, progress_every=100)
-        assert caplog.text.count("step 100/250") == 2
-
-
 class TestGridTelemetry:
     CONFIG = DetectorConfig(window=8, train_capacity=24, fit_epochs=1)
 
@@ -346,14 +297,6 @@ class TestBoundedRetry:
         assert counters["cell_retries"] == 1
         assert "cells_recovered" not in counters
 
-    def test_retries_zero_disables_the_retry_pass(self):
-        grid = ParallelCorpusRunner(n_jobs=1, retries=0).run(
-            self._poisoned_cells()
-        )
-        assert len(grid.failures) == 1
-        assert not grid.failures[0].retried
-        assert "cell_retries" not in grid.telemetry["counters"]
-
     def test_transient_failure_recovers_on_retry(self, monkeypatch):
         cells = build_cells(
             [AlgorithmSpec("online_arima", "sw", "musigma")],
@@ -386,10 +329,6 @@ class TestBoundedRetry:
         assert counters["cell_retries"] == 1
         assert counters["cells_recovered"] == 1
 
-    def test_retries_validated(self):
-        with pytest.raises(ValueError):
-            ParallelCorpusRunner(retries=-1)
-
 
 class TestCorpusTelemetry:
     CONFIG = DetectorConfig(window=8, train_capacity=24, fit_epochs=1)
@@ -404,14 +343,24 @@ class TestCorpusTelemetry:
     def test_sequential_corpus_accumulates(self):
         corpus = make_smd(n_series=2, n_steps=250, clean_prefix=60, seed=0)
         tel = Telemetry()
-        run_corpus(self._factory, corpus, telemetry=tel)
+
+        def traced_factory(series):
+            detector = self._factory(series)
+            detector.telemetry = tel
+            return detector
+
+        run_corpus(traced_factory, corpus)
         assert tel.counters["steps"] == sum(s.n_steps for s in corpus)
         assert tel.counters["initial_fits"] == 2
 
     def test_parallel_corpus_merges_worker_snapshots(self):
         corpus = make_smd(n_series=2, n_steps=250, clean_prefix=60, seed=0)
+        cells = build_cells(
+            [AlgorithmSpec("online_arima", "sw", "musigma")], corpus, self.CONFIG
+        )
+        grid = ParallelCorpusRunner(n_jobs=2, trace=True).run(cells)
         tel = Telemetry()
-        run_corpus(self._factory, corpus, n_jobs=2, telemetry=tel)
+        tel.merge_payload(grid.telemetry)
         assert tel.counters["steps"] == sum(s.n_steps for s in corpus)
 
 
