@@ -11,6 +11,7 @@ from repro.core.exceptions import (
 )
 from repro.core.registry import (
     AlgorithmSpec,
+    Recipe,
     build_algorithm_grid,
     build_detector,
     make_model,
@@ -41,6 +42,7 @@ __all__ = [
     "DetectorConfig",
     "FineTuneEvent",
     "NotFittedError",
+    "Recipe",
     "ReproError",
     "RollingBuffer",
     "StepResult",

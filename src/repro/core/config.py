@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.exceptions import ConfigurationError
+
+
+def is_count(value: Any, minimum: int = 0) -> bool:
+    """Whether ``value`` is an integer of at least ``minimum``.
+
+    The one count rule for values that arrive from outside the program
+    (wire fields, ``create`` arguments, WAL records): ``bool`` is an
+    ``Integral`` subclass, and a float such as 4.9 (or 2.0) or a string
+    such as ``"3"`` would be truncated or parsed, so all three are
+    refused; integer types such as ``np.int64`` pass.
+    """
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Integral)
+        and value >= minimum
+    )
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,16 @@ evaluated under both the average and anomaly-likelihood scoring functions.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
+from repro.core.config import DetectorConfig, is_count
 from repro.core.detector import StreamingAnomalyDetector
-from repro.core.exceptions import UnknownComponentError
+from repro.core.exceptions import ConfigurationError, UnknownComponentError
 from repro.learning.base import DriftDetector, TrainingSetStrategy
 from repro.learning.adwin import ADWIN
 from repro.learning.drift import MuSigmaChange, NeverFineTune, RegularFineTuning
@@ -40,6 +43,7 @@ from repro.models.online_arima import OnlineARIMA
 from repro.models.pcb_iforest import PCBIForest
 from repro.models.usad import USAD
 from repro.models.var import VARModel
+from repro.obs.manifest import fingerprint_config
 from repro.scoring.anomaly_score import (
     AnomalyLikelihood,
     AnomalyScorer,
@@ -58,9 +62,8 @@ MODEL_NAMES = ("online_arima", "ae", "usad", "nbeats", "pcb_iforest")
 #: models described by the paper (VAR) or added as extensions from the
 #: related work (k-NN, online k-means, RS-Forest) — not in the Table I grid.
 EXTENSION_MODELS = ("var", "knn", "kmeans", "rs_forest", "rnn", "lstm")
-#: registry model name -> model class.  Consumers that must validate a
-#: checkpoint against a spec label (e.g. serve crash recovery after a
-#: hot-swap) compare ``type(detector.model).__name__`` against this map.
+#: registry model name -> model class (what :attr:`Recipe.model_class`
+#: checks a checkpoint against).
 MODEL_CLASSES = {
     "online_arima": OnlineARIMA,
     "ae": TwoLayerAutoencoder,
@@ -271,3 +274,147 @@ def build_detector(
         fit_epochs=config.fit_epochs,
         finetune_epochs=config.finetune_epochs,
     )
+
+
+# ----------------------------------------------------------------------
+# served-session recipes
+# ----------------------------------------------------------------------
+#: the keys a recipe travels under: the WAL's ``open`` record, its
+#: ``swap`` records (which omit ``n_channels``: a swap keeps the stream's
+#: channel count) and the router's stream record.
+RECORD_KEYS = ("spec", "n_channels", "config", "scorer")
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A served session's full name: spec, channel count, config, scorer.
+
+    SAFARI names a detector by its component choices plus
+    hyper-parameters, and so does Table I; a registry-built session's
+    recipe is that name.  Create, resume, WAL recovery, challenger lanes
+    and hot swaps parse, check, fingerprint and rebuild a session through
+    this one type, so the recipe's format lives here alone.
+
+    Attributes:
+        spec: the Table I cell.
+        n_channels: stream channel count.
+        config: the detector's hyper-parameters.
+        scorer: the scorer name as requested; ``None`` builds
+            ``config.scorer`` (the WAL records keep it as given).
+    """
+
+    spec: AlgorithmSpec
+    n_channels: int
+    config: DetectorConfig
+    scorer: str | None = None
+
+    @classmethod
+    def parse(
+        cls, spec: Any, n_channels: Any, config: Any = None, scorer: Any = None
+    ) -> "Recipe":
+        """Validate a recipe that arrives from outside the program.
+
+        The only validation for create, resume, recovery and challenger
+        input: ``spec`` is a ``model+task1+task2`` string of registry
+        names, ``n_channels`` a positive integer under
+        :func:`~repro.core.config.is_count`'s rule (no ``bool``, float
+        or string), ``config`` a :class:`DetectorConfig` or a dict it
+        accepts (``None``: the defaults), ``scorer`` ``None`` or a
+        registry scorer name.
+
+        Raises:
+            ConfigurationError: naming the first field that fails.
+        """
+        parts = spec.split("+") if isinstance(spec, str) else ()
+        if len(parts) != 3:
+            raise ConfigurationError(
+                f"spec must look like 'model+task1+task2', got {spec!r}"
+            )
+        if not is_count(n_channels, minimum=1):
+            raise ConfigurationError(
+                f"n_channels must be a positive integer, got {n_channels!r}"
+            )
+        if scorer is not None and scorer not in SCORER_NAMES:
+            raise UnknownComponentError(f"unknown scorer {scorer!r}")
+        if config is None:
+            config = DetectorConfig()
+        elif isinstance(config, dict):
+            try:
+                config = DetectorConfig(**config)
+            except TypeError as error:
+                raise ConfigurationError(f"bad detector config: {error}") from None
+        elif not isinstance(config, DetectorConfig):
+            raise ConfigurationError(
+                f"config must be a dict of DetectorConfig fields, got {config!r}"
+            )
+        return cls(AlgorithmSpec(*parts), int(n_channels), config, scorer)
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "Recipe":
+        """Parse the recipe a record carries (see :data:`RECORD_KEYS`)."""
+        return cls.parse(*(record.get(key) for key in RECORD_KEYS))
+
+    def as_record(self) -> dict[str, Any]:
+        """The recipe under :data:`RECORD_KEYS`, ready to pickle or send."""
+        return {
+            "spec": self.label,
+            "n_channels": self.n_channels,
+            "config": dataclasses.asdict(self.config),
+            "scorer": self.scorer,
+        }
+
+    @property
+    def label(self) -> str:
+        return self.spec.label
+
+    @functools.cached_property
+    def fleet_key(self) -> tuple[str, int, str]:
+        """The identity under which the scheduler fuses sessions.
+
+        Same label, channel count, config and built scorer make
+        same-shaped detectors, safe to drain as one fleet (the fleet
+        engine re-checks member uniformity anyway).  The scorer is the
+        one :func:`build_detector` resolves, so omitting ``scorer`` and
+        naming ``config.scorer`` give one key.  Computed once: the
+        scheduler reads it on every pump.
+        """
+        scorer = self.scorer or self.config.scorer
+        return (
+            self.label,
+            self.n_channels,
+            fingerprint_config({"detector": self.config, "scorer": scorer}),
+        )
+
+    @property
+    def model_class(self) -> type[StreamModel]:
+        """The model class a checkpoint of this recipe holds."""
+        return MODEL_CLASSES[self.spec.model]
+
+    def check_checkpoint(self, meta: dict[str, Any]) -> None:
+        """Refuse a checkpoint (its ``peek_checkpoint`` meta block)
+        whose model is not this recipe's.
+
+        Raises:
+            ConfigurationError: naming both model classes.
+        """
+        expected = self.model_class.__name__
+        if meta.get("model") != expected:
+            raise ConfigurationError(
+                f"the checkpoint holds a {meta.get('model')} model, but "
+                f"spec {self.label!r} names {expected}"
+            )
+
+    def build(self, at: int = 0) -> StreamingAnomalyDetector:
+        """A fresh detector whose next point is stream index ``at``.
+
+        Its clock ``t`` is preset to ``at - 1``, so sequence numbers,
+        checkpoint metadata and WAL replay cursors stay continuous when
+        it takes over a live stream (a challenger lane, a swap under a
+        new spec).  The model starts cold and re-warms on the stream;
+        only the clock carries over.
+        """
+        if at < 0:
+            raise ConfigurationError(f"warm-start offset must be >= 0, got {at}")
+        detector = build_detector(self.spec, self.n_channels, self.config, self.scorer)
+        detector.t = at - 1
+        return detector

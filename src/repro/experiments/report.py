@@ -33,8 +33,6 @@ CORPORA = ("daphnet", "exathlon", "smd")
 def generate_report(
     config: Table3Config | None = None,
     corpora: tuple[str, ...] = CORPORA,
-    include_score_ablation: bool = True,
-    progress: bool = True,
     n_jobs: int | None = None,
     telemetry: Telemetry | None = None,
 ) -> str:
@@ -52,8 +50,7 @@ def generate_report(
     started = time.perf_counter()
 
     def log(message: str) -> None:
-        if progress:
-            print(f"[report] {message}", flush=True)
+        print(f"[report] {message}", flush=True)
 
     sections.append("# Reproduction report\n")
     sections.append(
@@ -90,15 +87,14 @@ def generate_report(
         sections.append(render_table3(corpus, rows))
         sections.append("```\n")
 
-    if include_score_ablation:
-        log("Table III anomaly-score rows (ablation)")
-        ablation = run_score_ablation(
-            corpora[0], config=config, n_jobs=n_jobs, telemetry=telemetry
-        )
-        sections.append("## Table III — anomaly-score rows\n")
-        sections.append("```")
-        sections.append(render_score_ablation(corpora[0], ablation))
-        sections.append("```\n")
+    log("Table III anomaly-score rows (ablation)")
+    ablation = run_score_ablation(
+        corpora[0], config=config, n_jobs=n_jobs, telemetry=telemetry
+    )
+    sections.append("## Table III — anomaly-score rows\n")
+    sections.append("```")
+    sections.append(render_score_ablation(corpora[0], ablation))
+    sections.append("```\n")
 
     log("Figure 1 (fine-tuning impact)")
     with tel.span(STAGE_PREFIX + "figure1"):
@@ -118,7 +114,6 @@ def write_report(
     path: str | Path,
     config: Table3Config | None = None,
     corpora: tuple[str, ...] = CORPORA,
-    progress: bool = True,
     n_jobs: int | None = None,
     telemetry: Telemetry | None = None,
 ) -> Path:
@@ -128,7 +123,6 @@ def write_report(
         generate_report(
             config=config,
             corpora=corpora,
-            progress=progress,
             n_jobs=n_jobs,
             telemetry=telemetry,
         )

@@ -83,7 +83,11 @@ def run_score_ablation(
                 if isinstance(outcome, CellFailure):
                     print(f"  WARNING: cell {outcome.label} failed: {outcome.message}")
                     continue
-                metric_rows.append(evaluate_result(outcome))
+                metric_rows.append(
+                    evaluate_result(
+                        outcome, threshold_quantile=config.threshold_quantile
+                    )
+                )
             rows.append(
                 AblationRow(
                     scorer=scorer,

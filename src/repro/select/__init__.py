@@ -46,12 +46,7 @@ from repro.select.postprocess import (
     make_postprocessor,
 )
 from repro.select.race import ChallengerLane, SelectionRace, build_race
-from repro.select.swap import (
-    expected_model_class,
-    hot_swap,
-    warm_start_detector,
-    warm_start_from_checkpoint,
-)
+from repro.select.swap import hot_swap
 
 __all__ = [
     "POLICY_NAMES",
@@ -68,10 +63,7 @@ __all__ = [
     "UcbBanditPolicy",
     "ZScorePostprocessor",
     "build_race",
-    "expected_model_class",
     "hot_swap",
     "make_policy",
     "make_postprocessor",
-    "warm_start_detector",
-    "warm_start_from_checkpoint",
 ]

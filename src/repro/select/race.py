@@ -12,10 +12,10 @@ which is what keeps shadow cost out of the user-facing ingest-latency
 percentiles.
 
 Lanes are clock-aligned with the champion by construction: they are
-warm-started at the session's stream offset
-(:func:`~repro.select.swap.warm_start_detector`), so at any instant
-``lane.detector.t == champion.t`` and a promotion hands over the stream
-with no offset arithmetic.
+built at the session's stream offset
+(:meth:`Recipe.build(at=) <repro.core.registry.Recipe.build>`), so at any
+instant ``lane.detector.t == champion.t`` and a promotion hands over the
+stream with no offset arithmetic.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
 from repro.core.exceptions import ConfigurationError
-from repro.obs import fingerprint_config
+from repro.core.registry import Recipe
 from repro.select.policy import (
     LaneStats,
     SelectionConfig,
@@ -36,26 +35,15 @@ from repro.select.policy import (
 
 
 class ChallengerLane:
-    """One challenger: a shadow detector plus its rebuild recipe.
+    """One challenger: its recipe and the shadow detector built from it.
 
-    The recipe (spec label, detector config, scorer, fleet key) is what
-    a promotion installs on the session — and what a demotion preserves
-    so the old champion can keep racing as a challenger.
+    The recipe is what a promotion installs on the session — and what a
+    demotion keeps, so the old champion can race on as a challenger.
     """
 
-    def __init__(
-        self,
-        spec_label: str,
-        detector: Any,
-        detector_config: DetectorConfig,
-        scorer: str | None,
-        fleet_key: tuple | None,
-    ) -> None:
-        self.spec_label = spec_label
+    def __init__(self, recipe: Recipe, detector: Any) -> None:
+        self.recipe = recipe
         self.detector = detector
-        self.detector_config = detector_config
-        self.scorer = scorer
-        self.fleet_key = fleet_key
         self.stats = LaneStats()
 
 
@@ -63,6 +51,8 @@ class SelectionRace:
     """Champion/challenger racing state attached to one session.
 
     Args:
+        champion: the champion's recipe (a swap installs the promoted
+            lane's, and a demotion keeps the old one racing).
         lanes: the challenger lanes (clock-aligned with the champion).
         policy: the promote decider.
         config: shared policy knobs.
@@ -73,6 +63,7 @@ class SelectionRace:
 
     def __init__(
         self,
+        champion: Recipe,
         lanes: list[ChallengerLane],
         policy: SelectionPolicy,
         config: SelectionConfig,
@@ -80,14 +71,12 @@ class SelectionRace:
     ) -> None:
         if not lanes:
             raise ConfigurationError("a selection race needs >= 1 challenger")
+        self.champion = champion
         self.lanes = list(lanes)
         self.policy = policy
         self.config = config
         self.demote = bool(demote)
         self.champion_stats = LaneStats()
-        #: the champion's rebuild recipe ``(spec_label, detector_config,
-        #: scorer, fleet_key)`` — consumed by a swap to demote it.
-        self.champion_meta: tuple | None = None
         self.points_since_swap = 0
         self.promotions = 0
         #: promotion history (``{"t", "from", "to"}`` dicts, in order).
@@ -143,12 +132,12 @@ class SelectionRace:
                 "ucb_c": self.config.ucb_c,
             },
             "champion": {
-                "spec": self.champion_meta[0] if self.champion_meta else None,
+                "spec": self.champion.label,
                 **self.champion_stats.as_dict(fire_weight),
             },
             "challengers": [
                 {
-                    "spec": lane.spec_label,
+                    "spec": lane.recipe.label,
                     "t": int(getattr(lane.detector, "t", -1)),
                     **lane.stats.as_dict(fire_weight),
                 }
@@ -162,14 +151,7 @@ class SelectionRace:
 
 
 def build_race(
-    select: dict[str, Any],
-    *,
-    champion_spec: str,
-    n_channels: int,
-    detector_config: DetectorConfig,
-    scorer: str | None,
-    fleet_key: tuple | None,
-    at: int = 0,
+    select: dict[str, Any], champion: Recipe, at: int = 0
 ) -> SelectionRace:
     """Build a :class:`SelectionRace` from a ``select`` request dict.
 
@@ -182,13 +164,11 @@ def build_race(
          "min_dwell": 256, "ewma_alpha": 0.05, "fire_weight": 0.25,
          "ucb_c": 1.0, "demote": true}
 
-    Challenger entries inherit the champion's detector config and
-    scorer unless they override them.  ``at`` is the session's current
-    stream offset — lanes are warm-started there so their clocks track
-    the champion's.
+    Challenger entries inherit the champion's channel count, detector
+    config and scorer unless they override the last two.  ``at`` is the
+    session's current stream offset — lanes are built there so their
+    clocks track the champion's.
     """
-    from repro.select.swap import warm_start_detector
-
     challengers = select.get("challengers")
     if not isinstance(challengers, (list, tuple)) or not challengers:
         raise ConfigurationError(
@@ -216,38 +196,21 @@ def build_race(
                 f"challenger entries are spec strings or "
                 f"{{'spec': ...}} dicts, got {entry!r}"
             )
-        label = str(entry["spec"])
-        if label == champion_spec and not entry.get("config"):
+        if entry["spec"] == champion.label and not entry.get("config"):
             raise ConfigurationError(
-                f"challenger {label!r} is identical to the champion"
+                f"challenger {entry['spec']!r} is identical to the champion"
             )
-        try:
-            lane_config = (
-                DetectorConfig(**entry["config"])
-                if entry.get("config")
-                else detector_config
-            )
-        except TypeError as error:
-            raise ConfigurationError(
-                f"bad challenger config for {label!r}: {error}"
-            ) from None
-        lane_scorer = entry.get("scorer", scorer)
-        detector = warm_start_detector(
-            label, n_channels, config=lane_config, scorer=lane_scorer, at=at
+        recipe = Recipe.parse(
+            entry["spec"],
+            champion.n_channels,
+            entry.get("config") or champion.config,
+            entry.get("scorer", champion.scorer),
         )
-        lane_key = (
-            label,
-            int(n_channels),
-            fingerprint_config({"detector": lane_config, "scorer": lane_scorer}),
-        )
-        lanes.append(
-            ChallengerLane(label, detector, lane_config, lane_scorer, lane_key)
-        )
-    race = SelectionRace(
+        lanes.append(ChallengerLane(recipe, recipe.build(at)))
+    return SelectionRace(
+        champion,
         lanes,
         make_policy(config),
         config,
         demote=bool(select.get("demote", True)),
     )
-    race.champion_meta = (champion_spec, detector_config, scorer, fleet_key)
-    return race

@@ -47,18 +47,14 @@ restart would have produced".
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 from typing import Any
 
-from repro.core.config import DetectorConfig
 from repro.core.detector import StreamingAnomalyDetector
-from repro.core.exceptions import ConfigurationError
-from repro.core.registry import MODEL_CLASSES, AlgorithmSpec, build_detector
 from repro.obs import NULL_TELEMETRY
 from repro.select.race import ChallengerLane
-from repro.streaming.checkpoint import load_detector, peek_checkpoint
+from repro.streaming.checkpoint import load_detector
 
 #: crash-injection hook for the mid-swap recovery tests: set the
 #: ``REPRO_SELECT_CRASH`` environment variable to ``after_checkpoint``
@@ -70,74 +66,6 @@ _CRASH_ENV = "REPRO_SELECT_CRASH"
 def _maybe_crash(point: str) -> None:
     if os.environ.get(_CRASH_ENV) == point:
         os._exit(42)
-
-
-def expected_model_class(spec_label: str) -> str | None:
-    """Model class name a spec label should checkpoint as (``None`` if
-    the label is not a registry spec)."""
-    model = str(spec_label).split("+", 1)[0]
-    cls = MODEL_CLASSES.get(model)
-    return cls.__name__ if cls is not None else None
-
-
-# ----------------------------------------------------------------------
-# warm-start
-# ----------------------------------------------------------------------
-def warm_start_detector(
-    spec_label: str,
-    n_channels: int,
-    config: DetectorConfig | None = None,
-    scorer: str | None = None,
-    at: int = 0,
-) -> StreamingAnomalyDetector:
-    """Fresh detector whose stream clock is preset to offset ``at``.
-
-    The detector's next point is stream index ``at`` (its ``t`` is
-    ``at - 1``), so sequence numbers, checkpoint metadata and WAL replay
-    cursors all stay continuous when it takes over a live stream — the
-    cross-spec resume primitive under both challenger lanes and the
-    ``resume``-with-a-new-spec path.  The model itself starts cold (it
-    re-warms on the stream); only the clock carries over.
-    """
-    parts = str(spec_label).split("+")
-    if len(parts) != 3:
-        raise ConfigurationError(
-            f"spec must look like 'model+task1+task2', got {spec_label!r}"
-        )
-    if int(at) < 0:
-        raise ConfigurationError(f"warm-start offset must be >= 0, got {at}")
-    detector = build_detector(
-        AlgorithmSpec(*parts),
-        n_channels=int(n_channels),
-        config=config if config is not None else DetectorConfig(),
-        scorer=scorer,
-    )
-    detector.t = int(at) - 1
-    return detector
-
-
-def warm_start_from_checkpoint(
-    path: Any,
-    spec_label: str,
-    n_channels: int,
-    config: DetectorConfig | None = None,
-    scorer: str | None = None,
-) -> StreamingAnomalyDetector:
-    """Continue a checkpointed stream under a *different* spec.
-
-    Reads the checkpoint's stream clock ``t`` and warm-starts a
-    ``spec_label`` detector at ``t + 1`` — the next point the old spec
-    would have scored is the first point the new spec scores, no point
-    skipped or doubled (``tests/test_checkpoint_roundtrip.py``).
-    """
-    meta = peek_checkpoint(path)
-    return warm_start_detector(
-        spec_label,
-        n_channels,
-        config=config,
-        scorer=scorer,
-        at=int(meta["t"]) + 1,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -173,12 +101,12 @@ def hot_swap(
     old_spec = session.spec_label
     wal = session.wal
     if wal is not None:
+        record = lane.recipe.as_record()
+        del record["n_channels"]  # a swap keeps the stream's channel count
         wal.log_swap(
             {
                 "t": swap_t,
-                "spec": lane.spec_label,
-                "config": dataclasses.asdict(lane.detector_config),
-                "scorer": lane.scorer,
+                **record,
                 "results": [dict(entry) for entry in results or ()],
             }
         )
@@ -189,33 +117,22 @@ def hot_swap(
     else:
         promoted = _roundtrip(lane.detector)
     old_detector = session.detector
-    old_meta = race.champion_meta
+    old_champion = race.champion
     session.detector = promoted
     if session.telemetry is not None and isinstance(
         promoted, StreamingAnomalyDetector
     ):
         promoted.telemetry = session.telemetry
-    session.spec_label = lane.spec_label
-    session.fleet_key = lane.fleet_key
-    race.champion_meta = (
-        lane.spec_label,
-        lane.detector_config,
-        lane.scorer,
-        lane.fleet_key,
-    )
+    session.spec_label = lane.recipe.label
+    session.fleet_key = lane.recipe.fleet_key
+    race.champion = lane.recipe
     race.lanes.remove(lane)
-    if (
-        race.demote
-        and old_meta is not None
-        and isinstance(old_detector, StreamingAnomalyDetector)
-    ):
+    if race.demote and isinstance(old_detector, StreamingAnomalyDetector):
         # The per-session telemetry follows the champion role: the
         # demoted detector's shadow steps must not count as champion
         # work.
         old_detector.telemetry = NULL_TELEMETRY
-        race.lanes.append(
-            ChallengerLane(old_meta[0], old_detector, old_meta[1], old_meta[2], old_meta[3])
-        )
+        race.lanes.append(ChallengerLane(old_champion, old_detector))
     # Every lane (and the new champion) re-warms: post-swap signals
     # compare behavior under the *new* regime, not stale averages.
     race.champion_stats.reset()
@@ -227,7 +144,7 @@ def hot_swap(
         "stream": session.stream_id,
         "t": swap_t,
         "from": old_spec,
-        "to": lane.spec_label,
+        "to": lane.recipe.label,
     }
     race.events.append(event)
     # Fleet-level counter only: the per-session view already carries

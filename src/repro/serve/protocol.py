@@ -19,14 +19,18 @@ verbatim in the reply.  Verbs:
 ``create``
     Open a session: ``stream`` (new id), ``spec`` (a registry label such
     as ``"ae+sw+kswin"``; optional when the server has a default),
-    ``n_channels`` (required), optional ``config`` (a dict of
-    :class:`~repro.core.config.DetectorConfig` fields) and ``scorer``.
+    ``n_channels`` (required, a positive integer), optional ``config``
+    (a dict of :class:`~repro.core.config.DetectorConfig` fields) and
+    ``scorer``; together they are the session's
+    :class:`~repro.core.registry.Recipe`, and a malformed one is
+    ``bad_config``.
     Optional ``resume`` (``{"seq": N}``) opens the session from a spill
     checkpoint already placed in the server's spill directory instead of
     building a fresh detector — the receiving end of a live migration or
     crash recovery.  ``seq`` must be the checkpoint's ``t + 1`` (it
-    continues the source's numbering); any other value is refused as
-    ``bad_config`` and the file stays for a retry.  A server with a
+    continues the source's numbering); any other value, or a ``spec``
+    whose model is not the checkpoint's, is refused as ``bad_config``
+    and the file stays for a retry.  A server with a
     write-ahead log installs the file as the log's barrier checkpoint.
     Optional ``select`` arms online algorithm selection
     (:mod:`repro.select`): ``{"challengers": ["spec", ...], "policy":
@@ -92,9 +96,9 @@ bitwise-equivalence guarantee holds through the protocol layer.
 from __future__ import annotations
 
 import json
-import numbers
 from typing import Any
 
+from repro.core.config import is_count
 from repro.core.exceptions import ReproError
 
 #: bump when the envelope or a verb's fields change incompatibly.
@@ -171,16 +175,15 @@ def decode_line(line: bytes | str) -> dict[str, Any]:
 def check_count(op: str, field: str, value: Any) -> None:
     """Refuse a count field that is not a non-negative integer.
 
-    ``bool`` is an ``Integral`` subclass, and a float like 4.9 would
-    truncate, so both are refused; integer types such as ``np.int64``
-    pass.  :func:`parse_request` applies it to every request, and
+    The rule is :func:`~repro.core.config.is_count`'s.
+    :func:`parse_request` applies it to every request, and
     ``DetectionService.ingest`` to in-process ingests that never crossed
     the wire.
 
     Raises:
         ProtocolError: naming ``op`` and ``field``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not is_count(value):
         raise ProtocolError(
             f"{op} '{field}' must be a non-negative integer, got {value!r}"
         )

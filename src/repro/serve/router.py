@@ -378,12 +378,17 @@ class WorkerHandle:
 # ----------------------------------------------------------------------
 @dataclass
 class StreamRecord:
-    """What the router must remember per stream to route and recover."""
+    """What the router must remember per stream to route and recover.
 
-    spec: str | None
-    n_channels: int
-    config: dict[str, Any] | None
-    scorer: str | None
+    ``recipe`` is the ``create`` that the owning worker accepted, under
+    the recipe's record keys (:data:`~repro.core.registry.RECORD_KEYS`):
+    ``spec`` and ``n_channels`` as the reply confirmed them, ``config``
+    and ``scorer`` as the request gave them (``None``: the worker's
+    default).  A migration or re-home sends it back as the resume
+    ``create``.
+    """
+
+    recipe: dict[str, Any]
     worker: int
 
 
@@ -565,14 +570,14 @@ class RouterService:
                 "create", stream=stream, **fields
             )
             if reply.get("ok"):
+                recipe = {
+                    "spec": reply["spec"],
+                    "n_channels": reply["n_channels"],
+                    "config": request.get("config"),
+                    "scorer": request.get("scorer"),
+                }
                 with self._registry_lock:
-                    self._streams[stream] = StreamRecord(
-                        spec=reply.get("spec", request.get("spec")),
-                        n_channels=int(reply.get("n_channels")),
-                        config=request.get("config"),
-                        scorer=request.get("scorer"),
-                        worker=index,
-                    )
+                    self._streams[stream] = StreamRecord(recipe, worker=index)
                 reply = dict(reply)
                 reply["worker"] = index
             return self._with_id(reply, request)
@@ -765,19 +770,9 @@ class RouterService:
             # meta["t"] is the index of the last processed point (-1 when
             # none); the next sequence number is one past it.
             seq = int(meta.get("t", -1)) + 1
-            fields: dict[str, Any] = {
-                "stream": stream,
-                "n_channels": record.n_channels,
-                "resume": {"seq": seq},
-            }
-            for key, value in (
-                ("spec", record.spec),
-                ("config", record.config),
-                ("scorer", record.scorer),
-            ):
-                if value is not None:
-                    fields[key] = value
-            reply = destination.request("create", **fields)
+            reply = destination.request(
+                "create", stream=stream, resume={"seq": seq}, **record.recipe
+            )
             if not reply.get("ok"):
                 (destination.spill_dir / name).unlink(missing_ok=True)
                 raise ReproError(
@@ -825,18 +820,7 @@ class RouterService:
                 if record.worker == worker.index
             )
         for stream in owned:
-            record = self._record(stream)
-            fields: dict[str, Any] = {
-                "stream": stream,
-                "n_channels": record.n_channels,
-            }
-            for key, value in (
-                ("spec", record.spec),
-                ("config", record.config),
-                ("scorer", record.scorer),
-            ):
-                if value is not None:
-                    fields[key] = value
+            fields = {"stream": stream, **self._record(stream).recipe}
             spill = worker.spill_dir / spill_filename(stream)
             recovered = False
             if spill.exists():
@@ -848,7 +832,7 @@ class RouterService:
                 except (ValueError, OSError):
                     # Truncated/incompatible spill: fall through to a
                     # fresh restart rather than refusing to serve.
-                    fields.pop("resume", None)
+                    pass
             reply = worker.request("create", **fields)
             if reply.get("ok"):
                 self.telemetry.count(

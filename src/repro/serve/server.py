@@ -25,7 +25,6 @@ micro-batch size and across evict/rehydrate cycles
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import socketserver
 import tempfile
@@ -37,17 +36,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
+from repro.core.config import DetectorConfig, is_count
 from repro.core.exceptions import (
     ConfigurationError,
     ReproError,
     StreamError,
 )
-from repro.core.registry import AlgorithmSpec, build_detector
-from repro.obs import RunLog, Telemetry, fingerprint_config, merge_payloads
+from repro.core.registry import Recipe
+from repro.obs import RunLog, Telemetry, merge_payloads
 from repro.select.postprocess import make_postprocessor
 from repro.select.race import build_race
-from repro.select.swap import expected_model_class
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -244,9 +242,15 @@ class DetectionService:
         building a fresh detector — the receiving end of a live
         migration or a crash recovery.  ``seq`` must be one past the
         checkpoint's stream clock (``t + 1``), so sequence numbers
-        continue where the previous process stopped; anything else is
-        refused before a file moves.  With a WAL the shipped file becomes
-        the log's barrier checkpoint and leaves the spill directory.
+        continue where the previous process stopped, and the checkpoint
+        must hold the model ``spec`` names; anything else is refused
+        before a file moves.  With a WAL the shipped file becomes the
+        log's barrier checkpoint and leaves the spill directory.
+
+        A registry-built session's ``spec``, ``n_channels``, ``config``
+        and ``scorer`` are its :class:`~repro.core.registry.Recipe`,
+        parsed by :meth:`Recipe.parse <repro.core.registry.Recipe.parse>`
+        (``ConfigurationError``, ``bad_config`` on the wire).
 
         ``select`` arms online algorithm selection: challenger shadow
         lanes racing the champion, with hot-swap on a durable win — see
@@ -260,45 +264,22 @@ class DetectionService:
         """
         if scorer is None:
             scorer = self.config.scorer
+        recipe = None
         if detector is None:
             label = spec if spec is not None else self.config.default_spec
             if label is None:
                 raise ConfigurationError(
                     "create needs a 'spec' (the server has no default)"
                 )
-            if n_channels is None or int(n_channels) < 1:
-                raise ConfigurationError(
-                    f"create needs 'n_channels' >= 1, got {n_channels!r}"
-                )
-            parts = label.split("+")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"spec must look like 'model+task1+task2', got {label!r}"
-                )
-            try:
-                detector_config = (
-                    DetectorConfig(**config)
-                    if config is not None
-                    else self.config.detector
-                )
-            except TypeError as error:
-                raise ConfigurationError(f"bad detector config: {error}") from None
-            spec_label = label
-            # Same label + channel count + hyper-parameters + scorer ⇒
-            # same-shaped detectors, safe to group for fused drains
-            # (the fleet engine re-verifies member uniformity anyway).
-            fleet_key = (
+            recipe = Recipe.parse(
                 label,
-                int(n_channels),
-                fingerprint_config({"detector": detector_config, "scorer": scorer}),
+                n_channels,
+                config if config is not None else self.config.detector,
+                scorer,
             )
+            n_channels, spec_label = recipe.n_channels, recipe.label
             if resume is None:
-                detector = build_detector(
-                    AlgorithmSpec(*parts),
-                    n_channels=int(n_channels),
-                    config=detector_config,
-                    scorer=scorer,
-                )
+                detector = recipe.build()
         else:
             if n_channels is None:
                 raise ConfigurationError(
@@ -309,33 +290,24 @@ class DetectionService:
                     "resume and a prebuilt detector are mutually exclusive"
                 )
             spec_label = spec if spec is not None else "custom"
-            fleet_key = None  # custom detectors drain alone
-            detector_config = None  # not rebuildable: no WAL for this session
         seq = 0
         if resume is not None:
-            if not isinstance(resume, dict) or "seq" not in resume:
+            seq = resume.get("seq") if isinstance(resume, dict) else None
+            if not is_count(seq):
                 raise ConfigurationError(
-                    f"resume must be a dict with a 'seq' field, got {resume!r}"
+                    "resume must be a dict whose 'seq' is a non-negative "
+                    f"integer, got {resume!r}"
                 )
-            seq = int(resume["seq"])
         if select is None:
             select = self.config.select
         race, postprocess = None, []
         if select:
-            if detector_config is None:
+            if recipe is None:
                 raise ConfigurationError(
                     "online selection requires a registry-built "
                     "session (custom detectors have no rebuild recipe)"
                 )
-            race = build_race(
-                select,
-                champion_spec=spec_label,
-                n_channels=int(n_channels),
-                detector_config=detector_config,
-                scorer=scorer,
-                fleet_key=fleet_key,
-                at=seq,
-            )
+            race = build_race(select, recipe, at=seq)
             postprocess = [
                 make_postprocessor(name) for name in select.get("postprocess", ())
             ]
@@ -345,9 +317,9 @@ class DetectionService:
         if resume is not None:
             session = self.store.adopt(
                 stream,
-                n_channels=int(n_channels),
+                n_channels=n_channels,
                 seq=seq,
-                spec_label=spec_label,
+                recipe=recipe,
                 telemetry=session_telemetry,
             )
         else:
@@ -358,19 +330,12 @@ class DetectionService:
                 spec_label=spec_label,
                 telemetry=session_telemetry,
             )
-        session.fleet_key = fleet_key
-        if self.wal_config is not None and detector_config is not None:
+        if recipe is not None:
+            session.fleet_key = recipe.fleet_key
+        if self.wal_config is not None and recipe is not None:
             wal = SessionWal(self.wal_config, stream, telemetry=self.telemetry)
             try:
-                wal.open(
-                    {
-                        "spec": spec_label,
-                        "n_channels": int(n_channels),
-                        "config": dataclasses.asdict(detector_config),
-                        "scorer": scorer,
-                    },
-                    checkpoint=session.spill_path,
-                )
+                wal.open(recipe.as_record(), checkpoint=session.spill_path)
             except ReproError:
                 session.spill_path = None  # keep a shipped checkpoint on disk
                 self.store.close(stream)
@@ -388,7 +353,7 @@ class DetectionService:
             }
             if session.race is not None:
                 entry["challengers"] = [
-                    lane.spec_label for lane in session.race.lanes
+                    lane.recipe.label for lane in session.race.lanes
                 ]
                 entry["policy"] = session.race.policy.name
             self.run_log.log("session_created", **entry)
@@ -483,22 +448,16 @@ class DetectionService:
     ) -> tuple[DetectorSession, bool]:
         """Register a recovered session at its log's anchor; returns it
         and whether its checkpoint contradicts the log's recipe."""
-        name = wal.path.name
-        n_channels = int(open_meta["n_channels"])
-        spec_label = str(open_meta.get("spec", "custom"))
-        scorer = open_meta.get("scorer")
         try:
-            detector_config = DetectorConfig(**(open_meta.get("config") or {}))
-        except TypeError as error:
+            recipe = Recipe.from_record(open_meta)
+        except ConfigurationError as error:
             raise WalCorruption(
-                f"log {name} carries an unbuildable detector config: {error}"
+                f"log {wal.path.name} carries an unbuildable recipe: {error}"
             ) from None
         stale_label = False
         if wal.barrier_t >= 0:
             detector = load_detector(wal.barrier_path)
-            expected = expected_model_class(spec_label)
-            actual = type(detector.model).__name__
-            if expected is not None and actual != expected:
+            if type(detector.model) is not recipe.model_class:
                 # The checkpoint's model does not match the recipe the
                 # log promises.  The swap protocol orders its record
                 # before its checkpoint, so this cannot happen under a
@@ -513,30 +472,19 @@ class DetectionService:
                 self.telemetry.event(
                     "wal_stale_label",
                     stream=wal.stream_id,
-                    label=spec_label,
-                    model=actual,
+                    label=recipe.label,
+                    model=type(detector.model).__name__,
                 )
         else:
             # No checkpoint yet (crash before the first barrier): the
             # open record carries everything needed to rebuild the
             # detector from scratch, and the log holds the full history.
-            parts = spec_label.split("+")
-            if len(parts) != 3:
-                raise WalCorruption(
-                    f"log {name} has no checkpoint and an unbuildable "
-                    f"spec {spec_label!r}"
-                )
-            detector = build_detector(
-                AlgorithmSpec(*parts),
-                n_channels=n_channels,
-                config=detector_config,
-                scorer=scorer,
-            )
+            detector = recipe.build()
         session = self.store.create(
             wal.stream_id,
             detector,
-            n_channels=n_channels,
-            spec_label=spec_label,
+            n_channels=recipe.n_channels,
+            spec_label=recipe.label,
             telemetry=(
                 Telemetry(max_events=64)
                 if self.config.per_session_telemetry
@@ -545,11 +493,7 @@ class DetectionService:
             seq=wal.barrier_t + 1,
         )
         if not stale_label:
-            session.fleet_key = (
-                spec_label,
-                n_channels,
-                fingerprint_config({"detector": detector_config, "scorer": scorer}),
-            )
+            session.fleet_key = recipe.fleet_key
         return session, stale_label
 
     def ingest(

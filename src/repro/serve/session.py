@@ -87,9 +87,10 @@ class DetectorSession:
         self.closed = False
         #: ingest→scored wait time per point, for p50/p99 in ``stats``.
         self.latency = LatencyReservoir()
-        #: same-spec grouping key for the fused drain path; ``None``
-        #: makes the session drain alone (custom detectors, or specs the
-        #: service could not fingerprint).
+        #: the recipe's :attr:`~repro.core.registry.Recipe.fleet_key`,
+        #: the same-spec grouping key for the fused drain path; ``None``
+        #: makes the session drain alone (custom detectors, or a
+        #: recovered checkpoint that contradicts its log's recipe).
         self.fleet_key: tuple | None = None
 
         #: evicted detector's checkpoint (spill or WAL barrier), set by the store.

@@ -34,6 +34,7 @@ from threading import RLock
 from typing import Callable
 
 from repro.core.exceptions import ConfigurationError, ReproError
+from repro.core.registry import Recipe
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.serve.session import DetectorSession
 from repro.serve.wal import WalConfig, wal_filename
@@ -213,7 +214,7 @@ class SessionStore:
         stream_id: str,
         n_channels: int,
         seq: int,
-        spec_label: str = "custom",
+        recipe: Recipe | None = None,
         telemetry: Telemetry | None = None,
     ) -> DetectorSession:
         """Register a session resuming from a pre-placed spill file.
@@ -225,8 +226,10 @@ class SessionStore:
         by this worker's previous incarnation), and rehydrates on its
         first flush.  ``seq`` must be one past the checkpoint's last
         processed index (meta ``t + 1``) so result sequence numbers
-        continue without a gap; any other value is refused before the
-        session exists, leaving the file in place for a corrected retry.
+        continue without a gap, and the checkpoint must hold the model
+        ``recipe`` names (:meth:`Recipe.check_checkpoint`); anything else
+        is refused before the session exists, leaving the file in place
+        for a corrected retry.
         """
         path = self.spill_path_for(stream_id)
         if not path.exists():
@@ -234,19 +237,22 @@ class SessionStore:
                 f"no spill checkpoint at {path} to resume stream "
                 f"{stream_id!r} from"
             )
-        t = int(peek_checkpoint(path)["t"])
+        meta = peek_checkpoint(path)
+        t = int(meta["t"])
         if seq != t + 1:
             raise ConfigurationError(
                 f"resume seq {seq} does not continue the checkpoint for "
                 f"stream {stream_id!r}, which stops at t={t} (expected "
                 f"seq {t + 1})"
             )
+        if recipe is not None:
+            recipe.check_checkpoint(meta)
         session = self._register(
             stream_id,
             None,
             spill_path=path,
             n_channels=n_channels,
-            spec_label=spec_label,
+            spec_label=recipe.label if recipe is not None else "custom",
             telemetry=telemetry,
             seq=seq,
         )

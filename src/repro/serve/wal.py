@@ -85,6 +85,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError
+from repro.core.registry import RECORD_KEYS
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.streaming.checkpoint import (
     atomic_write,
@@ -219,13 +220,14 @@ def _fold_swap(open_meta: dict[str, Any], record: dict[str, Any]) -> None:
     recovery re-emits them, since the swap barrier trims that block from
     replay.  Folding mutates ``open_meta`` in place — applied in log
     order, the final recipe matches the live session at crash time.
+    The record's recipe keys (:data:`~repro.core.registry.RECORD_KEYS`;
+    a swap omits ``n_channels``) are copied, not parsed: recovery parses
+    the folded result once, through
+    :meth:`~repro.core.registry.Recipe.from_record`.
     """
-    if record.get("spec") is not None:
-        open_meta["spec"] = record["spec"]
-    if record.get("config") is not None:
-        open_meta["config"] = record["config"]
-    if "scorer" in record:
-        open_meta["scorer"] = record["scorer"]
+    for key in RECORD_KEYS:
+        if key in record:
+            open_meta[key] = record[key]
     open_meta["swapped"] = True
     open_meta["swap_t"] = int(record["t"])
     open_meta["swap_results"] = list(record.get("results") or ())

@@ -267,6 +267,22 @@ class FleetEngine:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._arena: ParameterArena | None = None
         self._arena_unfusable = False
+        #: the members the arena stacks, in row order: those whose model
+        #: has fused modules and is the fleet's most common such type,
+        #: when at least ``min_fleet`` of them.  Fixed for the engine's
+        #: life, so per-drain eligibility never rebuilds the arena, and a
+        #: member that cannot fuse steps per session while the rest fuse.
+        kinds = [
+            type(det.model)
+            for det in self.detectors
+            if det.model.fleet_modules() is not None
+        ]
+        kind = max(kinds, key=kinds.count) if kinds else None
+        self._members = [
+            k for k, det in enumerate(self.detectors) if type(det.model) is kind
+        ]
+        if len(self._members) < self.min_fleet:
+            self._members = []
         #: cumulative step counters by lane, for manifests/stats.
         self.fused_steps = 0
         self.dirty_steps = 0
@@ -307,8 +323,11 @@ class FleetEngine:
         for k, raw in enumerate(blocks):
             block = np.atleast_2d(np.asarray(raw, dtype=np.float64))
             det = self.detectors[k]
-            if bypass or not self._eligible(det, block) or (
-                reference is not None and not self._uniform(reference, det)
+            if (
+                bypass
+                or k not in self._members
+                or not self._eligible(det, block)
+                or (reference is not None and not self._uniform(reference, det))
             ):
                 self.last_drain["stock"].append(k)
                 self.stock_steps += len(block)
@@ -432,7 +451,7 @@ class FleetEngine:
         """Can this session's block take the fused happy path at all?"""
         if len(block) == 0:
             return False
-        if not det.model.is_fitted or det.model.fleet_modules() is None:
+        if not det.model.is_fitted:
             return False
         if det.n_channels is None or block.shape[1] != det.n_channels:
             return False
@@ -495,18 +514,20 @@ class FleetEngine:
         arena = self._ensure_arena()
         if arena is None:
             return None
-        model_cls = type(self.detectors[0].model)
-        models = [det.model for det in self.detectors]
+        models = [self.detectors[k].model for k in self._members]
         first = next(iter(windows_by_session.values()))
         empty = np.empty((0,) + first.shape[1:], dtype=np.float64)
         windows_list = [
-            windows_by_session.get(k, empty)
-            for k in range(len(self.detectors))
+            windows_by_session.get(k, empty) for k in self._members
         ]
-        outputs = model_cls.fleet_predict_batch(
+        outputs = type(models[0]).fleet_predict_batch(
             models, arena.mirror, windows_list
         )
-        return {k: outputs[k] for k in windows_by_session}
+        return {
+            k: out
+            for k, out in zip(self._members, outputs)
+            if k in windows_by_session
+        }
 
     def _ensure_arena(self) -> ParameterArena | None:
         if self._arena_unfusable:
@@ -514,7 +535,7 @@ class FleetEngine:
         if self._arena is None or not self._arena.synced():
             try:
                 self._arena = ParameterArena(
-                    [det.model.fleet_modules() for det in self.detectors]
+                    [self.detectors[k].model.fleet_modules() for k in self._members]
                 )
             except FleetIncompatible:
                 self._arena_unfusable = True

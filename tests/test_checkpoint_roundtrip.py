@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.registry import AlgorithmSpec, build_detector
+from repro.core.registry import AlgorithmSpec, Recipe, build_detector
 from repro.streaming import (
     load_detector,
     peek_checkpoint,
@@ -244,11 +244,9 @@ def test_cross_spec_warm_start_continues_the_clock(tmp_path, target):
     produces over the remainder, independent of *how* the offset was
     obtained (peeked from checkpoint metadata vs. set directly).
     """
-    from repro.select import warm_start_detector, warm_start_from_checkpoint
-
     values = make_stream()
     cut = 380
-    label = "+".join(target)
+    recipe = Recipe.parse("+".join(target), 2, CONFIG)
     old = build_detector(
         AlgorithmSpec("ae", "sw", "kswin"), n_channels=2, config=CONFIG
     )
@@ -256,14 +254,12 @@ def test_cross_spec_warm_start_continues_the_clock(tmp_path, target):
     checkpoint = save_detector(old, tmp_path / "a.pkl")
     assert peek_checkpoint(checkpoint)["t"] == cut - 1
 
-    resumed = warm_start_from_checkpoint(
-        checkpoint, label, 2, config=CONFIG
-    )
+    resumed = recipe.build(at=int(peek_checkpoint(checkpoint)["t"]) + 1)
     assert resumed.t == cut - 1  # next point scored is stream index `cut`
     resumed_scores, _ = run_chunked(resumed, values[cut:], 7)
     assert resumed.t == len(values) - 1  # no skip, no double
 
-    reference = warm_start_detector(label, 2, config=CONFIG, at=cut)
+    reference = recipe.build(at=cut)
     reference_scores, _ = run_chunked(reference, values[cut:], 7)
     assert np.array_equal(resumed_scores, reference_scores)
     # The clock offset must show up in the new spec's event log, so a
@@ -273,16 +269,22 @@ def test_cross_spec_warm_start_continues_the_clock(tmp_path, target):
 
 def test_warm_start_rejects_bad_inputs(tmp_path):
     from repro.core.exceptions import ConfigurationError
-    from repro.select import warm_start_detector, warm_start_from_checkpoint
 
     with pytest.raises(ConfigurationError):
-        warm_start_detector("ae+sw", 2)
+        Recipe.parse("ae+sw", 2)
     with pytest.raises(ConfigurationError):
-        warm_start_detector("ae+sw+kswin", 2, at=-3)
+        Recipe.parse("ae+sw+kswin", 2).build(at=-3)
     detector = build_detector(
         AlgorithmSpec("ae", "sw", "kswin"), n_channels=2, config=CONFIG
     )
     run_chunked(detector, make_stream()[:50], 7)
     checkpoint = save_detector(detector, tmp_path / "a.pkl")
+    # A checkpoint's clock cannot rescue a label that names no recipe,
+    # nor hand a checkpoint to a recipe of another model.
     with pytest.raises(ConfigurationError):
-        warm_start_from_checkpoint(checkpoint, "not-a-spec", 2)
+        Recipe.parse("not-a-spec", 2)
+    with pytest.raises(ConfigurationError):
+        Recipe.parse("usad+sw+kswin", 2).check_checkpoint(
+            peek_checkpoint(checkpoint)
+        )
+    Recipe.parse("ae+ares+musigma", 2).check_checkpoint(peek_checkpoint(checkpoint))

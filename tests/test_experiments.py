@@ -1,10 +1,15 @@
 """Tests for the experiment harness (Tables II & III, Figure 1, ablation)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.registry import AlgorithmSpec
+from repro.core.registry import AlgorithmSpec, build_detector
+from repro.datasets.corpora import make_corpus
+from repro.experiments.evaluation import average_rows, evaluate_result
+from repro.streaming import run_stream
 from repro.experiments import (
     MetricRow,
     average_rows,
@@ -134,6 +139,37 @@ class TestScoreAblation:
         assert [row.scorer for row in rows] == ["raw", "avg", "al"]
         text = render_score_ablation("daphnet", rows)
         assert "raw" in text
+
+    def test_rows_use_the_table3_operating_point(self, tiny_table3_config):
+        """Each ablation row averages its scorer's cells evaluated at
+        ``config.threshold_quantile``, as Table III's rows are."""
+        specs = [AlgorithmSpec("ae", "sw", "musigma")]
+        config = dataclasses.replace(tiny_table3_config, threshold_quantile=0.8)
+        rows = run_score_ablation("daphnet", specs=specs, config=config)
+        corpus = make_corpus(
+            "daphnet",
+            n_series=config.n_series,
+            n_steps=config.n_steps,
+            clean_prefix=config.clean_prefix,
+            seed=config.seed,
+        )
+        for row in rows:
+            expected = average_rows(
+                [
+                    evaluate_result(
+                        run_stream(
+                            build_detector(
+                                spec, series.n_channels, config.detector, row.scorer
+                            ),
+                            series,
+                        ),
+                        threshold_quantile=config.threshold_quantile,
+                    )
+                    for spec in specs
+                    for series in corpus
+                ]
+            )
+            assert row.metrics == expected, row.scorer
 
 
 class TestFigure1:

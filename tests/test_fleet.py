@@ -464,7 +464,8 @@ def test_fleet_k1_default_bypass():
 )
 def test_fleet_mixed_specs_fall_back_to_stock(odd):
     """A non-uniform member is stepped through its own engine, bitwise —
-    also one whose model has no fused modules (PCB-iForest, ARIMA)."""
+    also one whose model has no fused modules (PCB-iForest, ARIMA) —
+    while the same-spec members still fuse every row."""
     values = [_series(k).values for k in range(3)]
     ae = AlgorithmSpec("ae", "sw", "musigma")
     specs = [ae, odd, ae]
@@ -483,6 +484,7 @@ def test_fleet_mixed_specs_fall_back_to_stock(odd):
             for got, expected in zip(fused[k], want):
                 assert got.tobytes() == expected.tobytes()
     assert 1 in fleet.last_drain["stock"]  # the odd member never fuses
+    assert fleet.fused_steps == 2 * 96  # the two AE members fuse every row
     for fused_det, ref_det in zip(mixed, reference):
         assert pickle.dumps(fused_det) == pickle.dumps(ref_det)
         if ref_det.model.fleet_modules() is not None:

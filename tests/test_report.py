@@ -41,9 +41,7 @@ class TestReport:
         monkeypatch.setattr(
             ablation_module, "build_algorithm_grid", lambda: small_grid
         )
-        text = generate_report(
-            config=tiny_config(), corpora=("daphnet",), progress=False
-        )
+        text = generate_report(config=tiny_config(), corpora=("daphnet",))
         assert "# Reproduction report" in text
         assert "## Table I" in text
         assert "26 algorithm combinations" in text  # full grid still printed
@@ -64,8 +62,7 @@ class TestReport:
             ablation_module, "build_algorithm_grid", lambda: small_grid
         )
         path = write_report(
-            tmp_path / "report.md", config=tiny_config(), corpora=("smd",),
-            progress=False,
+            tmp_path / "report.md", config=tiny_config(), corpora=("smd",)
         )
         assert path.exists()
         assert "Table III — smd" in path.read_text()

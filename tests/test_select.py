@@ -31,7 +31,7 @@ import pytest
 import _select_crash_child as child
 from repro.core.config import DetectorConfig
 from repro.core.exceptions import ConfigurationError
-from repro.core.registry import AlgorithmSpec, build_detector
+from repro.core.registry import AlgorithmSpec, Recipe, build_detector
 from repro.core.types import TimeSeries
 from repro.select import (
     EwmaLossPolicy,
@@ -40,7 +40,6 @@ from repro.select import (
     UcbBanditPolicy,
     make_policy,
     make_postprocessor,
-    warm_start_detector,
 )
 from repro.serve import DetectionService, ServeClient, ServeConfig
 from repro.serve import wal as serve_wal
@@ -298,13 +297,13 @@ def test_ensemble_postprocess_chain_is_chunking_invariant():
 # warm-start
 # ----------------------------------------------------------------------
 def test_warm_start_detector_clock_and_validation():
-    detector = warm_start_detector("ae+sw+kswin", 2, at=120)
+    detector = Recipe.parse("ae+sw+kswin", 2).build(at=120)
     assert detector.t == 119
     assert detector.first_scored_step is None  # cold model, preset clock
     with pytest.raises(ConfigurationError):
-        warm_start_detector("ae+sw", 2)
+        Recipe.parse("ae+sw", 2)
     with pytest.raises(ConfigurationError):
-        warm_start_detector("ae+sw+kswin", 2, at=-1)
+        Recipe.parse("ae+sw+kswin", 2).build(at=-1)
 
 
 # ----------------------------------------------------------------------

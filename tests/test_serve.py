@@ -560,6 +560,31 @@ class TestOneDrain:
             expected = offline_scores("ae+sw+musigma", series[: sent[stream]])
             assert served.tobytes() == expected.tobytes(), stream
 
+    def test_omitted_scorer_and_default_scorer_share_one_fleet(self):
+        """The fleet key fingerprints the scorer the detector is built
+        with, so a session that omits ``scorer`` and one that names the
+        default ``"al"`` drain as one fleet, bitwise as before."""
+        service = DetectionService(
+            ServeConfig(max_batch=16, max_delay_ms=10_000.0), autostart=False
+        )
+        client = ServeClient(service)
+        values = [points(96, seed=60 + k) for k in range(2)]
+        assert client.create("a", spec="ae+sw+musigma", n_channels=2, config=CONFIG)["ok"]
+        assert client.create(
+            "b", spec="ae+sw+musigma", n_channels=2, config=CONFIG, scorer="al"
+        )["ok"]
+        for stream, series in zip("ab", values):
+            assert client.ingest(stream, series)["ok"]
+        while service.pump():
+            pass
+        fleets = client.stats()["fleets"]
+        assert [sorted(fleet["streams"]) for fleet in fleets.values()] == [["a", "b"]]
+        for stream, series in zip("ab", values):
+            rows = client.score(stream)["results"]
+            served = np.array([row["score"] for row in rows])
+            expected = offline_scores("ae+sw+musigma", series)
+            assert served.tobytes() == expected.tobytes(), stream
+
     def test_prebuilt_session_drains_through_fleet_engine(self, monkeypatch):
         """A prebuilt-detector session (no fleet key) drains through the
         same routine — a one-member :class:`FleetEngine` call per

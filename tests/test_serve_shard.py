@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.exceptions import ReproError
+from repro.core.exceptions import ConfigurationError, ReproError
 from repro.core.registry import AlgorithmSpec, build_detector
 from repro.core.types import TimeSeries
 from repro.serve import (
@@ -243,6 +243,87 @@ def test_resume_seq_must_continue_the_checkpoint(tmp_path, wal):
     ref_scores, _ = offline_reference(SPEC, values)
     scores = np.array([result["score"] for result in results])
     assert np.array_equal(scores, ref_scores[100:105])
+    service.shutdown()
+
+
+@pytest.mark.parametrize("wal", [False, True], ids=["spill", "wal"])
+def test_resume_spec_must_match_the_checkpoint(tmp_path, wal):
+    """A ``resume`` whose spec names another model than the shipped
+    checkpoint holds is refused as ``bad_config`` before the session
+    exists; the file stays for a corrected retry, which continues
+    bitwise."""
+    values = make_stream()
+    detector = build_detector(
+        AlgorithmSpec(*SPEC), n_channels=2, config=DetectorConfig(**CONFIG)
+    )
+    detector.step_chunk(values[:100])  # t = 99
+    shipped = tmp_path / "spill" / spill_filename("r")
+    shipped.parent.mkdir()
+    save_detector(detector, shipped)
+    service = DetectionService(
+        ServeConfig(
+            spill_dir=str(tmp_path / "spill"),
+            wal_dir=str(tmp_path / "wal") if wal else None,
+            detector=DetectorConfig(**CONFIG),
+        ),
+        autostart=False,
+    )
+    client = ServeClient(service)
+    fields = dict(stream="r", n_channels=2, config=CONFIG, resume={"seq": 100})
+
+    reply = client.request("create", spec="usad+ures+kswin", **fields)
+    assert not reply["ok"]
+    assert reply["error"]["type"] == "bad_config"
+    assert len(service.store) == 0
+    assert shipped.exists()
+    if wal:
+        assert list((tmp_path / "wal").iterdir()) == []
+
+    reply = client.request("create", spec="+".join(SPEC), **fields)
+    assert reply["ok"] and reply["seq"] == 100, reply
+    assert client.ingest("r", values[100:105], expect=100)["ok"]
+    results = client.score("r")["results"]
+    ref_scores, _ = offline_reference(SPEC, values)
+    scores = np.array([result["score"] for result in results])
+    assert np.array_equal(scores, ref_scores[100:105])
+    service.shutdown()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n_channels": 2.7},
+        {"n_channels": 2.0},
+        {"n_channels": True},
+        {"n_channels": "3"},
+        {"n_channels": "abc"},
+        {"spec": 5},
+        {"spec": ["ae", "sw", "kswin"]},
+        {"resume": {"seq": 100.7}},
+    ],
+    ids=repr,
+)
+def test_create_refuses_malformed_recipe_fields(tmp_path, fields):
+    """The recipe's one parse refuses these in process and on the wire
+    as ``bad_config`` (a float, bool or string channel count was
+    truncated or parsed, and a non-string spec answered ``internal``)."""
+    values = make_stream()
+    detector = build_detector(
+        AlgorithmSpec(*SPEC), n_channels=2, config=DetectorConfig(**CONFIG)
+    )
+    detector.step_chunk(values[:100])
+    save_detector(detector, tmp_path / spill_filename("r"))
+    service = DetectionService(
+        ServeConfig(spill_dir=str(tmp_path), detector=DetectorConfig(**CONFIG)),
+        autostart=False,
+    )
+    request = {"stream": "r", "spec": "+".join(SPEC), "n_channels": 2, **fields}
+    reply = ServeClient(service).request("create", **request)
+    assert not reply["ok"]
+    assert reply["error"]["type"] == "bad_config", reply
+    with pytest.raises(ConfigurationError):
+        service.create_session(**request)
+    assert len(service.store) == 0
     service.shutdown()
 
 

@@ -14,7 +14,10 @@ test kills a real worker process with SIGKILL through the sharded
 router and lets the respawned worker self-recover.
 """
 
+import dataclasses
+import pickle
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -278,6 +281,54 @@ def test_crash_recovery_bitwise_equal(tmp_path, cut):
     reply = client.close("s")
     assert reply["ok"], reply
     assert list((tmp_path / "wal").glob("session-*")) == []
+
+
+def test_parent_format_log_with_a_committed_swap_recovers_bitwise(tmp_path):
+    """A log framed record by record in the on-disk format (an ``open``
+    record with ``scorer: None``, ``ingest`` records, a committed
+    ``swap`` record with its keys ``t``/``spec``/``config``/``scorer``/
+    ``results``) recovers under the swapped recipe, bitwise against
+    offline ``run_stream(batch_size=1)``."""
+    values = make_stream()
+    cut, n = 120, 200
+    challenger = AlgorithmSpec("usad", "sw", "musigma")
+    config = dataclasses.asdict(DetectorConfig(**CONFIG))
+    records = [
+        {"kind": "open", "stream": "p", "spec": LABEL, "n_channels": 2,
+         "config": config, "scorer": None},
+        {"kind": "ingest", "seq_from": 0, "rows": values[:cut]},
+        {"kind": "swap", "stream": "p", "t": cut - 1, "spec": challenger.label,
+         "config": config, "scorer": None, "results": []},
+        {"kind": "ingest", "seq_from": cut, "rows": values[cut:n]},
+    ]
+    wal_dir = tmp_path / "wal"
+    wal_dir.mkdir()
+    with open(wal_dir / wal_filename("p"), "wb") as handle:
+        for record in records:
+            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+    # The swap's commit point: the challenger's checkpoint at the swap clock.
+    swapped = build_detector(challenger, n_channels=2, config=DetectorConfig(**CONFIG))
+    swapped.step_chunk(values[:cut])
+    save_detector(swapped, wal_dir / barrier_filename("p"))
+
+    service = make_service(tmp_path)
+    assert service.telemetry.as_dict()["counters"].get("wal_recovered") == 1
+    client = ServeClient(service)
+    assert client.describe("p")["spec"] == challenger.label
+    results: dict = {}
+    drain(client, "p", results)
+    assert sorted(results) == list(range(cut, n))
+    reference = run_stream(
+        build_detector(challenger, n_channels=2, config=DetectorConfig(**CONFIG)),
+        TimeSeries(values=values[:n], labels=np.zeros(n, dtype=int)),
+        batch_size=1,
+    )
+    for key, ref in (("score", reference.scores), ("nonconformity", reference.nonconformities)):
+        got = np.array([results[seq][key] for seq in range(cut, n)])
+        assert got.tobytes() == ref[cut:n].tobytes()
+    service.shutdown()
 
 
 def test_crash_between_barrier_and_truncation(tmp_path):
