@@ -290,17 +290,10 @@ class Recipe:
     """A served session's full name: spec, channel count, config, scorer.
 
     SAFARI names a detector by its component choices plus
-    hyper-parameters, and so does Table I; a registry-built session's
-    recipe is that name.  Create, resume, WAL recovery, challenger lanes
-    and hot swaps parse, check, fingerprint and rebuild a session through
-    this one type, so the recipe's format lives here alone.
-
-    Attributes:
-        spec: the Table I cell.
-        n_channels: stream channel count.
-        config: the detector's hyper-parameters.
-        scorer: the scorer name as requested; ``None`` builds
-            ``config.scorer`` (the WAL records keep it as given).
+    hyper-parameters, and so does Table I.  Create, resume, WAL
+    recovery, challenger lanes and hot swaps parse, check, fingerprint
+    and rebuild a registry-built session through this one type.
+    ``scorer`` is kept as requested: ``None`` builds ``config.scorer``.
     """
 
     spec: AlgorithmSpec
@@ -312,15 +305,11 @@ class Recipe:
     def parse(
         cls, spec: Any, n_channels: Any, config: Any = None, scorer: Any = None
     ) -> "Recipe":
-        """Validate a recipe that arrives from outside the program.
-
-        The only validation for create, resume, recovery and challenger
-        input: ``spec`` is a ``model+task1+task2`` string of registry
-        names, ``n_channels`` a positive integer under
-        :func:`~repro.core.config.is_count`'s rule (no ``bool``, float
-        or string), ``config`` a :class:`DetectorConfig` or a dict it
-        accepts (``None``: the defaults), ``scorer`` ``None`` or a
-        registry scorer name.
+        """Validate a recipe that arrives from outside the program:
+        ``spec`` a ``model+task1+task2`` string, ``n_channels`` a
+        positive integer under :func:`~repro.core.config.is_count`'s
+        rule, ``config`` a :class:`DetectorConfig` or a dict it accepts
+        (``None``: the defaults), ``scorer`` ``None`` or a scorer name.
 
         Raises:
             ConfigurationError: naming the first field that fails.
@@ -369,15 +358,10 @@ class Recipe:
 
     @functools.cached_property
     def fleet_key(self) -> tuple[str, int, str]:
-        """The identity under which the scheduler fuses sessions.
-
-        Same label, channel count, config and built scorer make
-        same-shaped detectors, safe to drain as one fleet (the fleet
-        engine re-checks member uniformity anyway).  The scorer is the
-        one :func:`build_detector` resolves, so omitting ``scorer`` and
-        naming ``config.scorer`` give one key.  Computed once: the
-        scheduler reads it on every pump.
-        """
+        """The identity under which the scheduler fuses sessions: same
+        label, channel count, config and *built* scorer (omitting
+        ``scorer`` and naming ``config.scorer`` give one key).  Computed
+        once, as the scheduler reads it on every pump."""
         scorer = self.scorer or self.config.scorer
         return (
             self.label,
@@ -391,12 +375,8 @@ class Recipe:
         return MODEL_CLASSES[self.spec.model]
 
     def check_checkpoint(self, meta: dict[str, Any]) -> None:
-        """Refuse a checkpoint (its ``peek_checkpoint`` meta block)
-        whose model is not this recipe's.
-
-        Raises:
-            ConfigurationError: naming both model classes.
-        """
+        """Refuse (``ConfigurationError``) a checkpoint, given its
+        ``peek_checkpoint`` meta block, whose model is not this recipe's."""
         expected = self.model_class.__name__
         if meta.get("model") != expected:
             raise ConfigurationError(
@@ -405,14 +385,10 @@ class Recipe:
             )
 
     def build(self, at: int = 0) -> StreamingAnomalyDetector:
-        """A fresh detector whose next point is stream index ``at``.
-
-        Its clock ``t`` is preset to ``at - 1``, so sequence numbers,
-        checkpoint metadata and WAL replay cursors stay continuous when
-        it takes over a live stream (a challenger lane, a swap under a
-        new spec).  The model starts cold and re-warms on the stream;
-        only the clock carries over.
-        """
+        """A fresh detector whose next point is stream index ``at``: its
+        clock ``t`` is preset to ``at - 1``, so sequence numbers stay
+        continuous when it takes over a live stream (a challenger lane).
+        The model starts cold; only the clock carries over."""
         if at < 0:
             raise ConfigurationError(f"warm-start offset must be >= 0, got {at}")
         detector = build_detector(self.spec, self.n_channels, self.config, self.scorer)

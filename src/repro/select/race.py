@@ -50,9 +50,10 @@ class ChallengerLane:
 class SelectionRace:
     """Champion/challenger racing state attached to one session.
 
+    The champion is the session's detector and recipe; a swap installs
+    the promoted lane's there, and a demotion keeps the old one racing.
+
     Args:
-        champion: the champion's recipe (a swap installs the promoted
-            lane's, and a demotion keeps the old one racing).
         lanes: the challenger lanes (clock-aligned with the champion).
         policy: the promote decider.
         config: shared policy knobs.
@@ -63,7 +64,6 @@ class SelectionRace:
 
     def __init__(
         self,
-        champion: Recipe,
         lanes: list[ChallengerLane],
         policy: SelectionPolicy,
         config: SelectionConfig,
@@ -71,7 +71,6 @@ class SelectionRace:
     ) -> None:
         if not lanes:
             raise ConfigurationError("a selection race needs >= 1 challenger")
-        self.champion = champion
         self.lanes = list(lanes)
         self.policy = policy
         self.config = config
@@ -117,8 +116,9 @@ class SelectionRace:
         return None if index is None else self.lanes[index]
 
     # ------------------------------------------------------------------
-    def describe(self) -> dict[str, Any]:
-        """JSON-safe selection block for ``stats`` / ``describe``."""
+    def describe(self, champion: str) -> dict[str, Any]:
+        """JSON-safe selection block for ``stats`` / ``describe``;
+        ``champion`` is the session's spec label."""
         fire_weight = self.config.fire_weight
         return {
             "policy": self.policy.name,
@@ -132,7 +132,7 @@ class SelectionRace:
                 "ucb_c": self.config.ucb_c,
             },
             "champion": {
-                "spec": self.champion.label,
+                "spec": champion,
                 **self.champion_stats.as_dict(fire_weight),
             },
             "challengers": [
@@ -208,7 +208,6 @@ def build_race(
         )
         lanes.append(ChallengerLane(recipe, recipe.build(at)))
     return SelectionRace(
-        champion,
         lanes,
         make_policy(config),
         config,

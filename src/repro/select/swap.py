@@ -23,9 +23,10 @@ every queued point is still unscored.  The protocol, in commit order:
 3. **In-memory install** — the checkpoint is loaded back and becomes
    the session's detector (the promoted champion is the *round-tripped*
    detector, so a swap and a crash-plus-recovery produce bitwise the
-   same continuation), the session's spec label and fleet key flip to
-   the lane's, and — when demotion is on — the old champion becomes a
-   challenger lane, enabling a swap back on recurring drift.
+   same continuation), the session's recipe (and with it its label and
+   fleet key) becomes the lane's, and — when demotion is on — the old
+   champion becomes a challenger lane, enabling a swap back on
+   recurring drift.
 
 Crash anywhere and no point is lost, doubled or reordered:
 
@@ -98,7 +99,7 @@ def hot_swap(
     """
     race = session.race
     swap_t = int(lane.detector.t)
-    old_spec = session.spec_label
+    old_recipe = session.recipe
     wal = session.wal
     if wal is not None:
         record = lane.recipe.as_record()
@@ -117,22 +118,19 @@ def hot_swap(
     else:
         promoted = _roundtrip(lane.detector)
     old_detector = session.detector
-    old_champion = race.champion
     session.detector = promoted
     if session.telemetry is not None and isinstance(
         promoted, StreamingAnomalyDetector
     ):
         promoted.telemetry = session.telemetry
-    session.spec_label = lane.recipe.label
-    session.fleet_key = lane.recipe.fleet_key
-    race.champion = lane.recipe
+    session.recipe = lane.recipe
     race.lanes.remove(lane)
     if race.demote and isinstance(old_detector, StreamingAnomalyDetector):
         # The per-session telemetry follows the champion role: the
         # demoted detector's shadow steps must not count as champion
         # work.
         old_detector.telemetry = NULL_TELEMETRY
-        race.lanes.append(ChallengerLane(old_champion, old_detector))
+        race.lanes.append(ChallengerLane(old_recipe, old_detector))
     # Every lane (and the new champion) re-warms: post-swap signals
     # compare behavior under the *new* regime, not stale averages.
     race.champion_stats.reset()
@@ -143,7 +141,7 @@ def hot_swap(
     event = {
         "stream": session.stream_id,
         "t": swap_t,
-        "from": old_spec,
+        "from": old_recipe.label,
         "to": lane.recipe.label,
     }
     race.events.append(event)

@@ -79,6 +79,9 @@ verbatim in the reply.  Verbs:
     Operational verb: flush then spill one session to the checkpoint
     directory (the store also evicts idle sessions on its own when over
     capacity).  The next ``ingest``/``score`` rehydrates transparently.
+    The reply names the file (``spilled``) and the recipe it belongs to
+    (``recipe``: the ``create`` fields, after any hot swap; ``null`` for
+    a custom detector), which a resume on another server must send.
 ``close``
     Finalize a session: flush, drain — the reply carries any results
     the client had not collected yet (``results``) — then remove its

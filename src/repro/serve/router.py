@@ -61,6 +61,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError, ReproError
+from repro.core.registry import RECORD_KEYS
 from repro.obs import LatencyReservoir, Telemetry, merge_payloads, merge_summaries
 from repro.serve.protocol import (
     ProtocolError,
@@ -384,8 +385,9 @@ class StreamRecord:
     the recipe's record keys (:data:`~repro.core.registry.RECORD_KEYS`):
     ``spec`` and ``n_channels`` as the reply confirmed them, ``config``
     and ``scorer`` as the request gave them (``None``: the worker's
-    default).  A migration or re-home sends it back as the resume
-    ``create``.
+    default).  A migration resumes with the recipe the source's ``evict``
+    reply names (a hot swap may have changed it) and keeps that one; a
+    re-home sends the record's.
     """
 
     recipe: dict[str, Any]
@@ -556,26 +558,15 @@ class RouterService:
             index = self.placement_for(stream)
             fields = {
                 key: request[key]
-                for key in (
-                    "spec",
-                    "n_channels",
-                    "config",
-                    "scorer",
-                    "resume",
-                    "select",
-                )
+                for key in (*RECORD_KEYS, "resume", "select")
                 if key in request
             }
             reply = self.workers[index].request(
                 "create", stream=stream, **fields
             )
             if reply.get("ok"):
-                recipe = {
-                    "spec": reply["spec"],
-                    "n_channels": reply["n_channels"],
-                    "config": request.get("config"),
-                    "scorer": request.get("scorer"),
-                }
+                recipe = {key: request.get(key) for key in RECORD_KEYS}
+                recipe.update(spec=reply["spec"], n_channels=reply["n_channels"])
                 with self._registry_lock:
                     self._streams[stream] = StreamRecord(recipe, worker=index)
                 reply = dict(reply)
@@ -753,7 +744,7 @@ class RouterService:
                 raise ReproError(
                     f"migration evict failed for {stream!r}: {reply.get('error')}"
                 )
-            checkpoint = Path(reply["spilled"])
+            checkpoint, recipe = Path(reply["spilled"]), reply["recipe"]
             drained: list[dict[str, Any]] = []
             while True:
                 reply = source.request("score", stream=stream, flush=False)
@@ -771,7 +762,7 @@ class RouterService:
             # none); the next sequence number is one past it.
             seq = int(meta.get("t", -1)) + 1
             reply = destination.request(
-                "create", stream=stream, resume={"seq": seq}, **record.recipe
+                "create", stream=stream, resume={"seq": seq}, **recipe
             )
             if not reply.get("ok"):
                 (destination.spill_dir / name).unlink(missing_ok=True)
@@ -786,7 +777,7 @@ class RouterService:
                     f"migration close failed for {stream!r}: {reply.get('error')}"
                 )
             with self._registry_lock:
-                record.worker = target
+                record.worker, record.recipe = target, recipe
                 if drained:
                     self._buffered.setdefault(stream, []).extend(drained)
             self.telemetry.count("sessions_migrated")

@@ -247,10 +247,8 @@ class DetectionService:
         before a file moves.  With a WAL the shipped file becomes the
         log's barrier checkpoint and leaves the spill directory.
 
-        A registry-built session's ``spec``, ``n_channels``, ``config``
-        and ``scorer`` are its :class:`~repro.core.registry.Recipe`,
-        parsed by :meth:`Recipe.parse <repro.core.registry.Recipe.parse>`
-        (``ConfigurationError``, ``bad_config`` on the wire).
+        ``spec``, ``n_channels``, ``config`` and ``scorer`` are parsed as
+        one :class:`~repro.core.registry.Recipe` (``bad_config``).
 
         ``select`` arms online algorithm selection: challenger shadow
         lanes racing the champion, with hot-swap on a durable win — see
@@ -277,7 +275,7 @@ class DetectionService:
                 config if config is not None else self.config.detector,
                 scorer,
             )
-            n_channels, spec_label = recipe.n_channels, recipe.label
+            n_channels, label = recipe.n_channels, recipe.label
             if resume is None:
                 detector = recipe.build()
         else:
@@ -289,7 +287,7 @@ class DetectionService:
                 raise ConfigurationError(
                     "resume and a prebuilt detector are mutually exclusive"
                 )
-            spec_label = spec if spec is not None else "custom"
+            label = spec if spec is not None else "custom"
         seq = 0
         if resume is not None:
             seq = resume.get("seq") if isinstance(resume, dict) else None
@@ -327,11 +325,10 @@ class DetectionService:
                 stream,
                 detector,
                 n_channels=int(n_channels),
-                spec_label=spec_label,
+                recipe=recipe,
+                label=label,
                 telemetry=session_telemetry,
             )
-        if recipe is not None:
-            session.fleet_key = recipe.fleet_key
         if self.wal_config is not None and recipe is not None:
             wal = SessionWal(self.wal_config, stream, telemetry=self.telemetry)
             try:
@@ -347,7 +344,7 @@ class DetectionService:
         if self.run_log is not None:
             entry: dict[str, Any] = {
                 "stream": stream,
-                "spec": spec_label,
+                "spec": label,
                 "seq": session.seq,
                 "resumed": resume is not None,
             }
@@ -405,7 +402,7 @@ class DetectionService:
         )
         stream, anchor = wal.stream_id, wal.barrier_t
         try:
-            session, stale_label = self._restore_session(wal, open_meta)
+            session = self._restore_session(wal, open_meta)
         except BaseException:
             wal.close(delete=False)
             raise
@@ -438,16 +435,17 @@ class DetectionService:
                 dropped=dropped,
                 torn=torn,
                 swapped=bool(open_meta.get("swapped")),
-                stale_label=stale_label,
+                stale_label=session.stale_label,
                 reemitted=len(reemit),
             )
         return stream
 
     def _restore_session(
         self, wal: SessionWal, open_meta: dict[str, Any]
-    ) -> tuple[DetectorSession, bool]:
-        """Register a recovered session at its log's anchor; returns it
-        and whether its checkpoint contradicts the log's recipe."""
+    ) -> DetectorSession:
+        """Register a recovered session at its log's anchor (its
+        ``stale_label`` is set when its checkpoint contradicts the log's
+        recipe)."""
         try:
             recipe = Recipe.from_record(open_meta)
         except ConfigurationError as error:
@@ -484,7 +482,7 @@ class DetectionService:
             wal.stream_id,
             detector,
             n_channels=recipe.n_channels,
-            spec_label=recipe.label,
+            recipe=recipe,
             telemetry=(
                 Telemetry(max_events=64)
                 if self.config.per_session_telemetry
@@ -492,9 +490,8 @@ class DetectionService:
             ),
             seq=wal.barrier_t + 1,
         )
-        if not stale_label:
-            session.fleet_key = recipe.fleet_key
-        return session, stale_label
+        session.stale_label = stale_label
+        return session
 
     def ingest(
         self, stream: str, points: Any, expect: int | None = None
@@ -553,7 +550,14 @@ class DetectionService:
         session = self.store.get(stream)
         self.scheduler.flush_session(session)
         path = self.store.evict(session)
-        return {"stream": stream, "spilled": str(path), "hydrated": session.hydrated}
+        return {
+            "stream": stream,
+            "spilled": str(path),
+            "hydrated": session.hydrated,
+            "recipe": (
+                session.recipe.as_record() if session.recipe is not None else None
+            ),
+        }
 
     def close_session(self, stream: str) -> dict[str, Any]:
         """Flush and drain, then remove the session and its files.

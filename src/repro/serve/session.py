@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.detector import StreamingAnomalyDetector
 from repro.core.exceptions import StreamError
+from repro.core.registry import Recipe
 from repro.core.types import count_finetunes
 from repro.obs import LatencyReservoir, Telemetry
 
@@ -46,7 +47,10 @@ class DetectorSession:
         n_channels: expected stream-vector width, validated at ingest
             time so a malformed point is rejected at the protocol edge
             instead of corrupting the detector mid-drain.
-        spec_label: registry label for ``stats`` (e.g. ``"ae+sw+kswin"``).
+        recipe: the registry :class:`~repro.core.registry.Recipe` the
+            detector was built from; ``None`` for a custom detector.
+        label: a custom detector's label for ``stats`` (a recipe
+            session shows its recipe's label).
         telemetry: per-session sink; attached to the detector when it
             carries a telemetry slot (duck-typed detectors run untraced).
         clock: monotonic time source (injectable for tests).
@@ -57,7 +61,8 @@ class DetectorSession:
         stream_id: str,
         detector: Any,
         n_channels: int,
-        spec_label: str = "custom",
+        recipe: Recipe | None = None,
+        label: str = "custom",
         telemetry: Telemetry | None = None,
         clock: Callable[[], float] = time.monotonic,
         seq: int = 0,
@@ -65,7 +70,13 @@ class DetectorSession:
         self.stream_id = stream_id
         self.detector = detector
         self.n_channels = int(n_channels)
-        self.spec_label = spec_label
+        #: what the session serves; a hot swap installs the promoted
+        #: lane's recipe here and nowhere else.
+        self.recipe = recipe
+        self._label = label
+        #: set on a recovered session whose checkpoint holds another
+        #: model than its log's recipe names: it drains alone.
+        self.stale_label = False
         self.telemetry = telemetry
         if telemetry is not None and isinstance(detector, StreamingAnomalyDetector):
             detector.telemetry = telemetry
@@ -87,11 +98,6 @@ class DetectorSession:
         self.closed = False
         #: ingest→scored wait time per point, for p50/p99 in ``stats``.
         self.latency = LatencyReservoir()
-        #: the recipe's :attr:`~repro.core.registry.Recipe.fleet_key`,
-        #: the same-spec grouping key for the fused drain path; ``None``
-        #: makes the session drain alone (custom detectors, or a
-        #: recovered checkpoint that contradicts its log's recipe).
-        self.fleet_key: tuple | None = None
 
         #: evicted detector's checkpoint (spill or WAL barrier), set by the store.
         self.spill_path: Path | None = None
@@ -123,6 +129,19 @@ class DetectorSession:
         self.shadow_ns = 0
 
     # ------------------------------------------------------------------
+    @property
+    def spec_label(self) -> str:
+        return self.recipe.label if self.recipe is not None else self._label
+
+    @property
+    def fleet_key(self) -> tuple | None:
+        """The recipe's :attr:`~repro.core.registry.Recipe.fleet_key`, the
+        grouping key of the fused drain; ``None`` drains the session
+        alone (a custom detector, or a stale label)."""
+        if self.recipe is None or self.stale_label:
+            return None
+        return self.recipe.fleet_key
+
     @property
     def hydrated(self) -> bool:
         """Whether the detector is live in memory (vs evicted to disk)."""
@@ -345,7 +364,7 @@ class DetectorSession:
                     "fsync": self.wal.config.fsync,
                 }
             if self.race is not None:
-                info["selection"] = self.race.describe()
+                info["selection"] = self.race.describe(self.spec_label)
                 info["shadow"] = {
                     "points_shadow": self.points_shadow,
                     "shadow_ns": self.shadow_ns,

@@ -187,7 +187,8 @@ class SessionStore:
         stream_id: str,
         detector,
         n_channels: int,
-        spec_label: str = "custom",
+        recipe: Recipe | None = None,
+        label: str = "custom",
         telemetry: Telemetry | None = None,
         seq: int = 0,
     ) -> DetectorSession:
@@ -201,7 +202,8 @@ class SessionStore:
             stream_id,
             detector,
             n_channels=n_channels,
-            spec_label=spec_label,
+            recipe=recipe,
+            label=label,
             telemetry=telemetry,
             seq=seq,
         )
@@ -252,7 +254,7 @@ class SessionStore:
             None,
             spill_path=path,
             n_channels=n_channels,
-            spec_label=recipe.label if recipe is not None else "custom",
+            recipe=recipe,
             telemetry=telemetry,
             seq=seq,
         )

@@ -228,6 +228,15 @@ _DRIFT_LANES: dict[type, type[_NeverPreview]] = {
 }
 
 
+def _fused_shapes(model) -> tuple | None:
+    """A model's type and the shapes of its fused parameters, which
+    arena rows must share (``None`` when it has no fused modules)."""
+    roots = model.fleet_modules()
+    if roots is None:
+        return None
+    return type(model), [p.value.shape for root in roots for p in root.parameters()]
+
+
 class FleetEngine:
     """Step a fleet of same-spec detectors through fused kernels.
 
@@ -267,19 +276,17 @@ class FleetEngine:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._arena: ParameterArena | None = None
         self._arena_unfusable = False
-        #: the members the arena stacks, in row order: those whose model
-        #: has fused modules and is the fleet's most common such type,
-        #: when at least ``min_fleet`` of them.  Fixed for the engine's
-        #: life, so per-drain eligibility never rebuilds the arena, and a
-        #: member that cannot fuse steps per session while the rest fuse.
-        kinds = [
-            type(det.model)
-            for det in self.detectors
-            if det.model.fleet_modules() is not None
-        ]
-        kind = max(kinds, key=kinds.count) if kinds else None
+        #: the members the arena stacks, in row order: the first member
+        #: whose model has fused modules and every member whose model
+        #: type and fused parameter shapes match it, when at least
+        #: ``min_fleet`` of them.  Fixed for the engine's life, so
+        #: per-drain eligibility never rebuilds the arena, and a member
+        #: that cannot join (no fused modules, another model, window or
+        #: channel count) steps per session while the rest fuse.
+        shapes = [_fused_shapes(det.model) for det in self.detectors]
+        first = next((shape for shape in shapes if shape is not None), None)
         self._members = [
-            k for k, det in enumerate(self.detectors) if type(det.model) is kind
+            k for k, shape in enumerate(shapes) if shape is not None and shape == first
         ]
         if len(self._members) < self.min_fleet:
             self._members = []

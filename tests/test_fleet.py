@@ -454,23 +454,28 @@ def test_fleet_k1_default_bypass():
 
 
 @pytest.mark.parametrize(
-    "odd",
+    "odd, odd_config",
     [
-        AlgorithmSpec("usad", "sw", "musigma"),
-        AlgorithmSpec("pcb_iforest", "sw", "kswin"),
-        AlgorithmSpec("online_arima", "sw", "musigma"),
+        (AlgorithmSpec("usad", "sw", "musigma"), CONFIG),
+        (AlgorithmSpec("pcb_iforest", "sw", "kswin"), CONFIG),
+        (AlgorithmSpec("online_arima", "sw", "musigma"), CONFIG),
+        (
+            AlgorithmSpec("ae", "sw", "musigma"),
+            dataclasses.replace(CONFIG, window=CONFIG.window + 2),
+        ),
     ],
-    ids=lambda s: s.model,
+    ids=["usad", "pcb_iforest", "online_arima", "ae_wider_window"],
 )
-def test_fleet_mixed_specs_fall_back_to_stock(odd):
+def test_fleet_mixed_specs_fall_back_to_stock(odd, odd_config):
     """A non-uniform member is stepped through its own engine, bitwise —
-    also one whose model has no fused modules (PCB-iForest, ARIMA) —
-    while the same-spec members still fuse every row."""
+    also one whose model has no fused modules (PCB-iForest, ARIMA) or
+    other weight shapes (an AE with a wider window) — while the members
+    that match the first one still fuse every row."""
     values = [_series(k).values for k in range(3)]
     ae = AlgorithmSpec("ae", "sw", "musigma")
-    specs = [ae, odd, ae]
-    mixed = [build_detector(spec, 9, CONFIG) for spec in specs]
-    reference = [build_detector(spec, 9, CONFIG) for spec in specs]
+    members = [(ae, CONFIG), (odd, odd_config), (ae, CONFIG)]
+    mixed = [build_detector(spec, 9, config) for spec, config in members]
+    reference = [build_detector(spec, 9, config) for spec, config in members]
     for k in range(3):
         for t in range(WARMUP):
             mixed[k].step(values[k][t])

@@ -421,6 +421,84 @@ def test_worker_kill_and_respawn_recovers_from_spill(fleet):
     assert "streams_restarted" not in counters
 
 
+def test_promoted_stream_migrates_and_respawns_bitwise(fleet):
+    """A hot swap across model classes changes a stream's recipe inside
+    its worker, out of the router's sight.  A respawn replays the swap
+    from the log (the race does not survive it, so the stream becomes
+    evictable); a migration must then resume it with the recipe its
+    checkpoint belongs to, and the target's respawn recovers it again.
+    Every score equals the champion's offline run through the swap and
+    the challenger's after it."""
+    values = make_stream()
+    champion, challenger = ("ae", "sw", "never"), ("usad", "sw", "kswin")
+    router = fleet(
+        worker=ServeConfig(
+            max_delay_ms=5.0,
+            max_batch=32,
+            wal_dir="wal",  # per-worker path assigned by the router
+            wal_barrier_interval=48,
+            detector=DetectorConfig(**CONFIG),
+        )
+    )
+    client = ServeClient(router)
+    select = dict(
+        challengers=["+".join(challenger)],
+        warmup=40,
+        margin=0.02,
+        dwell=16,
+        min_dwell=64,
+        fire_weight=0.0,
+        demote=False,
+    )
+    reply = client.create(
+        "swap", spec="+".join(champion), n_channels=2, select=select
+    )
+    assert reply.get("ok"), reply
+    source = reply["worker"]
+    results: dict[int, dict] = {}
+
+    def feed(start, stop):
+        # A respawned worker re-emits the results it replays from its
+        # log; they must equal the ones already delivered.
+        sent = start
+        while sent < stop:
+            chunk = values[sent : min(sent + 40, stop)]
+            reply = client.ingest("swap", chunk, expect=sent)
+            assert reply.get("ok"), reply
+            sent += reply["accepted"]
+            reply = client.score("swap", flush=True)
+            assert reply.get("ok"), reply
+            for result in reply["results"]:
+                assert results.setdefault(result["seq"], result) == result
+
+    feed(0, 160)
+    events = client.describe("swap")["selection"]["events"]
+    assert [event["to"] for event in events] == ["+".join(challenger)]
+    swap_t = events[0]["t"]
+    router.workers[source].kill()
+    feed(160, 200)
+    assert client.describe("swap")["spec"] == "+".join(challenger)
+    outcome = router.migrate("swap", 1 - source)
+    assert outcome["moved"] and outcome["seq"] == 200
+    router.workers[1 - source].kill()
+    feed(200, len(values))
+    assert client.describe("swap")["spec"] == "+".join(challenger)
+
+    assert sorted(results) == list(range(len(values)))
+    champ_scores, champ_nc = offline_reference(champion, values)
+    chall_scores, chall_nc = offline_reference(challenger, values)
+    cut = swap_t + 1
+    scores = np.array([results[i]["score"] for i in range(len(values))])
+    ncs = np.array([results[i]["nonconformity"] for i in range(len(values))])
+    assert np.array_equal(scores, np.r_[champ_scores[:cut], chall_scores[cut:]])
+    assert np.array_equal(ncs, np.r_[champ_nc[:cut], chall_nc[cut:]])
+    counters = router.telemetry.counters
+    assert counters.get("workers_respawned") == 2
+    assert counters.get("sessions_migrated") == 1
+    assert counters.get("streams_recovered") == 2
+    assert "streams_restarted" not in counters
+
+
 def test_latency_rebalance_migrates_off_the_hot_shard(fleet):
     """With a sub-nanosecond p99 threshold every loaded shard is hot;
     ``check_rebalance`` moves the stream to the empty shard and the
